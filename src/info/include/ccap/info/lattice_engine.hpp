@@ -104,6 +104,10 @@ public:
     [[nodiscard]] std::span<std::uint32_t> cells_u32(std::size_t cells) {
         return grab(u32_, cells);
     }
+    /// 64-bit words (bit-parallel edit-distance columns and match masks).
+    [[nodiscard]] std::span<std::uint64_t> cells_u64(std::size_t cells) {
+        return grab(u64_, cells);
+    }
 
     // Arenas for the batched structure-of-arrays engine (batch_lattice.hpp).
     /// Small per-lane double buffers (norms, pruned mass, slack, ...).
@@ -141,6 +145,7 @@ private:
     ArenaVector<int> band_;
     ArenaVector<long long> lane_ll_;
     ArenaVector<std::uint32_t> u32_;
+    ArenaVector<std::uint64_t> u64_;
     ArenaVector<std::uint8_t> rx_u8_, tx_u8_;
 };
 

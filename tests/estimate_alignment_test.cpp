@@ -2,12 +2,216 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "ccap/util/rng.hpp"
 
 namespace {
 
 using namespace ccap::estimate;
 using Trace = std::vector<std::uint32_t>;
+
+// ---------------------------------------------------------------------------
+// Reference: the quadratic DPs the bit-parallel kernel replaced, kept
+// verbatim in logic (full trellis, same traceback order). The kernel must
+// reproduce their distance, end column and every step.
+
+using RefTable = std::vector<std::vector<std::uint32_t>>;
+
+RefTable reference_table(const Trace& sent, const Trace& received) {
+    const std::size_t n = sent.size();
+    const std::size_t m = received.size();
+    RefTable dp(n + 1, std::vector<std::uint32_t>(m + 1, 0));
+    for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<std::uint32_t>(i);
+    for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<std::uint32_t>(j);
+    for (std::size_t i = 1; i <= n; ++i)
+        for (std::size_t j = 1; j <= m; ++j) {
+            const std::uint32_t sub =
+                dp[i - 1][j - 1] + (sent[i - 1] == received[j - 1] ? 0U : 1U);
+            dp[i][j] = std::min({sub, dp[i - 1][j] + 1U, dp[i][j - 1] + 1U});
+        }
+    return dp;
+}
+
+Alignment reference_trace_back(const RefTable& dp, const Trace& sent, const Trace& received,
+                               std::size_t end_j) {
+    Alignment out;
+    std::size_t i = sent.size(), j = end_j;
+    out.distance = dp[i][j];
+    std::vector<EditStep> rev;
+    while (i > 0 || j > 0) {
+        if (i > 0 && j > 0) {
+            const bool is_match = sent[i - 1] == received[j - 1];
+            if (dp[i - 1][j - 1] + (is_match ? 0U : 1U) == dp[i][j]) {
+                rev.push_back({is_match ? EditOp::match : EditOp::substitution, i - 1, j - 1});
+                --i;
+                --j;
+                continue;
+            }
+        }
+        if (i > 0 && dp[i - 1][j] + 1U == dp[i][j]) {
+            rev.push_back({EditOp::deletion, i - 1, 0});
+            --i;
+            continue;
+        }
+        rev.push_back({EditOp::insertion, 0, j - 1});
+        --j;
+    }
+    out.steps.assign(rev.rbegin(), rev.rend());
+    return out;
+}
+
+std::pair<Alignment, std::size_t> reference_align_end_free(const Trace& block,
+                                                           const Trace& window) {
+    const RefTable dp = reference_table(block, window);
+    const std::size_t n = block.size();
+    std::size_t best_j = 0;
+    for (std::size_t j = 0; j <= window.size(); ++j) {
+        const bool better =
+            dp[n][j] < dp[n][best_j] ||
+            (dp[n][j] == dp[n][best_j] &&
+             std::llabs(static_cast<long long>(j) - static_cast<long long>(n)) <
+                 std::llabs(static_cast<long long>(best_j) - static_cast<long long>(n)));
+        if (better) best_j = j;
+    }
+    return {reference_trace_back(dp, block, window, best_j), best_j};
+}
+
+Alignment reference_align(const Trace& sent, const Trace& received) {
+    return reference_trace_back(reference_table(sent, received), sent, received,
+                                received.size());
+}
+
+std::vector<std::array<std::size_t, 3>> step_keys(const Alignment& a) {
+    std::vector<std::array<std::size_t, 3>> keys;
+    keys.reserve(a.steps.size());
+    for (const EditStep& s : a.steps)
+        keys.push_back({static_cast<std::size_t>(s.op), s.sent_index, s.received_index});
+    return keys;
+}
+
+struct ChannelCase {
+    double p_d, p_i, p_s;
+};
+
+// Ordinary, heavy-drift, all-deleted and insertion-flood channels.
+constexpr std::array<ChannelCase, 8> kChannels = {{{0.0, 0.0, 0.0},
+                                                   {0.1, 0.05, 0.02},
+                                                   {0.33, 0.0, 0.0},
+                                                   {0.1, 0.1, 0.1},
+                                                   {0.5, 0.3, 0.2},
+                                                   {1.0, 0.0, 0.0},
+                                                   {0.0, 0.9, 0.0},
+                                                   {0.05, 0.05, 0.5}}};
+
+/// Draws one (block, window) pair: a block over a random alphabet (2..256
+/// symbols, based at 0 or ending at UINT32_MAX), passed through a random
+/// deletion/insertion/substitution channel, then kept whole, extended with
+/// a random tail, cut short or replaced outright, with a sprinkle of
+/// symbols the block never holds.
+std::pair<Trace, Trace> random_case(ccap::util::Rng& rng, std::size_t n) {
+    constexpr std::array<std::uint64_t, 6> kAlphabets = {2, 3, 4, 7, 16, 256};
+    const std::uint64_t alphabet = kAlphabets[rng.uniform_below(kAlphabets.size())];
+    const std::uint64_t base =
+        rng.bernoulli(0.5) ? 0 : std::numeric_limits<std::uint32_t>::max() - alphabet + 1;
+    const auto symbol = [&] {
+        return static_cast<std::uint32_t>(base + rng.uniform_below(alphabet));
+    };
+    // Wraps past UINT32_MAX to small values when base is high: absent either way.
+    const auto foreign = [&] {
+        return static_cast<std::uint32_t>(base + alphabet + rng.uniform_below(4));
+    };
+
+    Trace block(n);
+    for (auto& s : block) s = symbol();
+    const ChannelCase ch = kChannels[rng.uniform_below(kChannels.size())];
+    Trace window;
+    for (std::uint32_t s : block) {
+        while (rng.bernoulli(ch.p_i) && window.size() < 4 * n + 8) window.push_back(symbol());
+        if (rng.bernoulli(ch.p_d)) continue;
+        window.push_back(rng.bernoulli(ch.p_s) ? symbol() : s);
+    }
+    switch (rng.uniform_below(4)) {
+        case 0: break;
+        case 1:  // trailing stream, as estimate_params' slack window sees
+            for (std::uint64_t k = rng.uniform_below(n / 2 + 33); k > 0; --k)
+                window.push_back(symbol());
+            break;
+        case 2:  // cut short
+            window.resize(rng.uniform_below(window.size() + 1));
+            break;
+        default:  // unrelated
+            window.resize(rng.uniform_below(2 * n + 2));
+            for (auto& s : window) s = symbol();
+            break;
+    }
+    if (rng.bernoulli(0.3))
+        for (auto& s : window)
+            if (rng.bernoulli(0.1)) s = foreign();
+    return {std::move(block), std::move(window)};
+}
+
+void expect_matches_reference(const Trace& block, const Trace& window) {
+    const auto [want, want_end] = reference_align_end_free(block, window);
+    const auto [got, got_end] = align_end_free(block, window);
+    ASSERT_EQ(got.distance, want.distance);
+    ASSERT_EQ(got_end, want_end);
+    ASSERT_EQ(step_keys(got), step_keys(want));
+
+    const Alignment want_global = reference_align(block, window);
+    const Alignment got_global = align(block, window);
+    ASSERT_EQ(got_global.distance, want_global.distance);
+    ASSERT_EQ(step_keys(got_global), step_keys(want_global));
+    ASSERT_EQ(edit_distance(block, window), want_global.distance);
+}
+
+TEST(AlignmentKernel, MatchesQuadraticReferenceAcrossWordBoundaries) {
+    // Block lengths straddle the 64-row word boundaries of the column.
+    constexpr std::array<std::size_t, 8> kLengths = {0, 1, 63, 64, 65, 127, 128, 129};
+    ccap::util::Rng rng(20260417);
+    for (int k = 0; k < 10'000; ++k) {
+        const auto [block, window] = random_case(rng, kLengths[k % kLengths.size()]);
+        ASSERT_NO_FATAL_FAILURE(expect_matches_reference(block, window))
+            << "case " << k << ": block " << block.size() << ", window " << window.size();
+    }
+}
+
+TEST(AlignmentKernel, MatchesQuadraticReferenceOnTrackShapedWindows) {
+    // 2000-symbol blocks, the tracker's window length: 32 words per column.
+    ccap::util::Rng rng(11);
+    for (int k = 0; k < 24; ++k) {
+        const auto [block, window] = random_case(rng, 2000);
+        ASSERT_NO_FATAL_FAILURE(expect_matches_reference(block, window))
+            << "case " << k << ": window " << window.size();
+    }
+}
+
+TEST(AlignmentKernel, MatchesQuadraticReferencePastTheLeaseCap) {
+    // A 3500-symbol block against a window of similar length needs a store
+    // above the 4 MiB lease cap, so it runs on a local workspace; the small
+    // cases after it run on the leased one again.
+    ccap::util::Rng rng(12);
+    for (int k = 0; k < 3; ++k) {
+        Trace block(3500);
+        const auto symbol = [&] { return static_cast<std::uint32_t>(rng.uniform_below(4)); };
+        for (auto& s : block) s = symbol();
+        Trace window;
+        for (std::uint32_t s : block) {
+            if (rng.bernoulli(0.05)) window.push_back(symbol());
+            if (!rng.bernoulli(0.1)) window.push_back(s);
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_matches_reference(block, window)) << "case " << k;
+        const auto [small_block, small_window] = random_case(rng, 129);
+        ASSERT_NO_FATAL_FAILURE(expect_matches_reference(small_block, small_window))
+            << "small case " << k;
+    }
+}
 
 TEST(Alignment, IdenticalTracesAllMatch) {
     const Trace t = {1, 0, 1, 1, 0};

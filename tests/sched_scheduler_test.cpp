@@ -3,17 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 namespace {
 
 using namespace ccap::sched;
+
+/// "p<id>", appended rather than prepended: GCC 12 at -O2 and above raises
+/// a false -Wrestrict on `"p" + std::to_string(id)`.
+std::string process_name(ProcessId id) {
+    std::string name = "p";
+    name += std::to_string(id);
+    return name;
+}
 
 /// Counts its own quanta; optionally blocks periodically.
 class CountingProcess final : public Process {
 public:
     CountingProcess(ProcessId id, int priority = 0, std::uint64_t tickets = 1,
                     SimTime block_every = 0, SimTime block_len = 0)
-        : Process(id, "p" + std::to_string(id), priority, tickets),
+        : Process(id, process_name(id), priority, tickets),
           block_every_(block_every),
           block_len_(block_len) {}
 

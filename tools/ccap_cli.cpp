@@ -123,7 +123,9 @@ Args parse_args(int argc, char** argv, int first) {
         if (flag.rfind("--", 0) != 0)
             throw UsageError("expected --option, got '" + flag + "'");
         if (flag == "--verbose") {  // the one valueless flag
-            args.values["verbose"] = "1";
+            // Not `values["verbose"] = "1"`: GCC 12 at -O2 and above raises
+            // a false -Wrestrict on assigning a literal to a string.
+            args.values.insert_or_assign("verbose", std::string("1"));
             continue;
         }
         if (i + 1 >= argc) throw UsageError("option " + flag + " needs a value");
