@@ -6,9 +6,12 @@
 // This engine closes that loop in three deterministic stages:
 //
 //   1. SIMULATE.  Flows are partitioned into contiguous *slices* of one
-//      shared resource, each simulated independently on its own EventQueue:
-//      a PacingController deposits the slice's service budget per tick and a
-//      RoundRobinFlowQueue drains one symbol per backlogged flow per visit.
+//      shared resource, each simulated independently, tick by tick, over a
+//      ring of per-tick event buckets (far-future arrivals wait in a small
+//      side heap) that replays exactly the (time, insertion) order an
+//      EventQueue would: a PacingController deposits the slice's service
+//      budget per tick and a RoundRobinFlowQueue drains one symbol per
+//      backlogged flow per visit.
 //      Per-flow arrivals are Bernoulli-per-tick processes sampled as
 //      geometric inter-arrival gaps from a per-flow SplitMix64 substream of
 //      the root seed (the PR 1 seeding discipline), so the slice traffic —
@@ -129,6 +132,11 @@ public:
 
     /// The full pipeline: simulate -> map -> evaluate.
     [[nodiscard]] ContentionReport run() const;
+
+    /// Ticks the simulation's event ring covers (a power of two). Arrivals
+    /// this far ahead or more wait in a small side heap; the event order,
+    /// and so every FlowLoad, does not depend on it.
+    static constexpr SimTime kRingTicks = 256;
 
     [[nodiscard]] const ContentionConfig& config() const noexcept { return cfg_; }
     /// Resolved aggregate service rate (config default applied).

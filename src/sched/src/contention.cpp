@@ -1,7 +1,7 @@
 #include "ccap/sched/contention.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <array>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -30,6 +30,89 @@ ContentionEngine::ContentionEngine(const ContentionConfig& cfg, info::CapacityCa
                    : std::max(1.0, static_cast<double>(cfg_.flows) / 16.0);
 }
 
+namespace {
+
+constexpr std::uint32_t kNil = 0xffffffffu;
+constexpr SimTime kRingMask = ContentionEngine::kRingTicks - 1;
+static_assert((ContentionEngine::kRingTicks & kRingMask) == 0,
+              "ring size must be a power of two");
+
+// Event schedule of one slice, dequeued in exactly the (when, seq) order an
+// EventQueue would use. Every event is an id — a flow's next arrival, or the
+// service tick — and each id has at most one event pending, so the pending
+// set is an intrusive FIFO list per tick bucket (`next_` per id) plus, for
+// events kRingTicks or more ticks ahead, a small POD (when, seq) heap.
+//
+// Within one tick, seq order is scheduling order. A far event for tick t was
+// scheduled at or before t - kRingTicks and a ring event after it, so the far
+// events, drained in (when, seq) order, go in front of the bucket. Memory is
+// O(ids + kRingTicks), independent of the horizon.
+class TickRing {
+public:
+    explicit TickRing(std::size_t ids) : next_(ids, kNil) {
+        head_.fill(kNil);
+        tail_.fill(kNil);
+    }
+
+    /// Schedule `id` at `when` > `now`.
+    void schedule(std::uint32_t id, SimTime when, SimTime now) {
+        if (when - now < ContentionEngine::kRingTicks) {
+            const SimTime slot = when & kRingMask;
+            next_[id] = kNil;
+            if (tail_[slot] == kNil) head_[slot] = id;
+            else next_[tail_[slot]] = id;
+            tail_[slot] = id;
+        } else {
+            far_.push_back({when, seq_++, id});
+            std::push_heap(far_.begin(), far_.end(), Later{});
+        }
+    }
+
+    /// Detach tick t's events; walk them with next(). Events scheduled while
+    /// walking land in later buckets, never in this one.
+    [[nodiscard]] std::uint32_t take(SimTime t) {
+        const SimTime slot = t & kRingMask;
+        std::uint32_t first = head_[slot];
+        head_[slot] = tail_[slot] = kNil;
+        std::uint32_t far_first = kNil, far_last = kNil;
+        while (!far_.empty() && far_.front().when == t) {
+            std::pop_heap(far_.begin(), far_.end(), Later{});
+            const std::uint32_t id = far_.back().id;
+            far_.pop_back();
+            if (far_last == kNil) far_first = id;
+            else next_[far_last] = id;
+            far_last = id;
+        }
+        if (far_last != kNil) {
+            next_[far_last] = first;
+            first = far_first;
+        }
+        return first;
+    }
+
+    [[nodiscard]] std::uint32_t next(std::uint32_t id) const { return next_[id]; }
+
+private:
+    struct Far {
+        SimTime when;
+        std::uint64_t seq;
+        std::uint32_t id;
+    };
+    struct Later {
+        bool operator()(const Far& a, const Far& b) const noexcept {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    std::vector<std::uint32_t> next_;
+    std::array<std::uint32_t, ContentionEngine::kRingTicks> head_;
+    std::array<std::uint32_t, ContentionEngine::kRingTicks> tail_;
+    std::vector<Far> far_;
+    std::uint64_t seq_ = 0;
+};
+
+}  // namespace
+
 void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& out) const {
     // Contiguous flow range of this slice; disjoint across slices, so the
     // parallel_for over slices writes to disjoint ranges of `out`.
@@ -41,9 +124,8 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
     // Per-flow Bernoulli arrival probability per tick, sized so the whole
     // population offers `offered_load` times the aggregate service rate.
     const double lambda = cfg_.offered_load * service_ / static_cast<double>(cfg_.flows);
-    const double p = std::clamp(lambda, 1e-12, 1.0);
+    const util::Geometric gap_of(std::clamp(lambda, 1e-12, 1.0));
 
-    EventQueue events;
     RoundRobinFlowQueue queue(n, cfg_.queue_cap, cfg_.deadline);
     // The slice serves its population share of the aggregate budget. The
     // burst cap must reach one symbol's cost: a slice whose share is
@@ -59,37 +141,37 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
     for (std::size_t f = 0; f < n; ++f)
         rngs.emplace_back(util::substream_seed(cfg_.seed, static_cast<std::uint64_t>(lo + f)));
 
-    // Self-rescheduling per-flow arrival: enqueue one symbol, then sample the
-    // next inter-arrival gap from the flow's own substream. Gaps are sampled
-    // only by the flow that owns the Rng, so the draw order — and hence the
-    // whole trajectory — is independent of event interleaving. The callbacks
-    // reference locals by address; the event loop drains before scope exit.
-    std::function<void(std::size_t, SimTime)> arrive;
-    arrive = [&](std::size_t f, SimTime t) {
-        (void)queue.push(f, t);
-        const std::uint64_t gap = rngs[f].geometric(p);
-        if (gap >= cfg_.ticks) return;  // next arrival past the horizon
-        const SimTime next = t + 1 + gap;
-        if (next <= cfg_.ticks)
-            events.schedule_at(next, [&arrive, f](SimTime when) { arrive(f, when); });
+    // Ids 0..n-1 are the flows' arrivals, id n the service tick (the queue
+    // constructor has already rejected n >= kNil).
+    const auto service = static_cast<std::uint32_t>(n);
+    const SimTime ticks = cfg_.ticks;
+    TickRing ring(n + 1);
+    // A flow's next arrival is 1 + gap ticks out, dropped past the horizon.
+    // Gaps are sampled only by the flow that owns the Rng, so the draw order
+    // — and hence the whole trajectory — is independent of event order.
+    const auto schedule_arrival = [&](std::uint32_t f, SimTime now) {
+        const std::uint64_t gap = gap_of(rngs[f]);
+        if (gap < ticks - now) ring.schedule(f, now + 1 + gap, now);
     };
-    for (std::size_t f = 0; f < n; ++f) {
-        const std::uint64_t gap = rngs[f].geometric(p);
-        if (gap >= cfg_.ticks) continue;
-        events.schedule_at(1 + gap, [&arrive, f](SimTime when) { arrive(f, when); });
+    for (std::size_t f = 0; f < n; ++f) schedule_arrival(static_cast<std::uint32_t>(f), 0);
+    ring.schedule(service, 1, 0);
+
+    for (SimTime t = 1; t <= ticks; ++t) {
+        for (std::uint32_t id = ring.take(t); id != kNil;) {
+            const std::uint32_t following = ring.next(id);
+            if (id == service) {
+                // Deposit the slice budget, then drain round-robin until the
+                // budget or the backlog runs out.
+                pacer.on_tick();
+                while (queue.backlog() > 0 && pacer.try_consume()) (void)queue.pop(t);
+                if (t < ticks) ring.schedule(service, t + 1, t);
+            } else {
+                (void)queue.push(id, t);
+                schedule_arrival(id, t);
+            }
+            id = following;
+        }
     }
-
-    // Self-rescheduling service tick: deposit the slice budget, then drain
-    // round-robin until the budget or the backlog runs out.
-    std::function<void(SimTime)> tick;
-    tick = [&](SimTime t) {
-        pacer.on_tick();
-        while (queue.backlog() > 0 && pacer.try_consume()) (void)queue.pop(t);
-        if (t < cfg_.ticks) events.schedule_at(t + 1, [&tick](SimTime when) { tick(when); });
-    };
-    events.schedule_at(1, [&tick](SimTime when) { tick(when); });
-
-    events.run_until(cfg_.ticks);
 
     for (std::size_t f = 0; f < n; ++f) {
         const FlowCounters& c = queue.flow(f);

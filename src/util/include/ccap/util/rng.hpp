@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -88,6 +89,7 @@ public:
     [[nodiscard]] std::size_t categorical(std::span<const double> weights) noexcept;
 
     /// Geometric: number of failures before first success, success prob p in (0,1].
+    /// Same draws as Geometric(p)(*this); see Geometric for the edge cases.
     [[nodiscard]] std::uint64_t geometric(double p) noexcept;
 
     /// Standard normal via Box-Muller (no cached spare: deterministic stream).
@@ -110,6 +112,33 @@ private:
         return (x << k) | (x >> (64 - k));
     }
     std::array<std::uint64_t, 4> state_{};
+};
+
+/// Geometric sampler for a fixed success probability p: the number of
+/// failures before the first success, by inversion floor(log(U)/log1p(-p))
+/// with log1p(-p) computed once. A loop that draws many gaps at one p (the
+/// contention engine's arrivals) pays one transcendental per draw instead of
+/// two, and gets exactly the values Rng::geometric(p) returns.
+///
+/// p >= 1 returns 0 without drawing; p <= 0 (or NaN) returns ~0ULL, "never".
+/// A quotient at or past 2^64 (p below about 2e-18) also saturates to ~0ULL
+/// rather than overflowing the integer conversion.
+class Geometric {
+public:
+    explicit Geometric(double p) noexcept
+        : p_(p), log_q_(p > 0.0 && p < 1.0 ? std::log1p(-p) : 0.0) {}
+
+    [[nodiscard]] std::uint64_t operator()(Rng& rng) const noexcept {
+        if (p_ >= 1.0) return 0;
+        if (!(p_ > 0.0)) return ~0ULL;
+        const double u = 1.0 - rng.uniform();  // in (0,1]
+        const double k = std::floor(std::log(u) / log_q_);
+        return k < 0x1p64 ? static_cast<std::uint64_t>(k) : ~0ULL;
+    }
+
+private:
+    double p_;
+    double log_q_;
 };
 
 }  // namespace ccap::util

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
+
+#include "ccap/sched/event_queue.hpp"
+#include "ccap/sched/flow_queue.hpp"
+#include "ccap/sched/pacing.hpp"
+#include "ccap/util/rng.hpp"
 
 namespace {
 
@@ -13,6 +21,7 @@ using ccap::sched::ContentionEngine;
 using ccap::sched::ContentionReport;
 using ccap::sched::FlowLoad;
 using ccap::sched::FlowOutcome;
+using ccap::sched::SimTime;
 
 CapacityCache::Config cache_config(bool enabled = true) {
     CapacityCache::Config cfg;
@@ -142,6 +151,148 @@ TEST(ContentionParallelTest, SimulationBitIdenticalAcrossThreadCounts) {
             EXPECT_EQ(parallel[f].served, serial[f].served) << "flow " << f;
             EXPECT_EQ(parallel[f].dropped_overflow, serial[f].dropped_overflow);
             EXPECT_EQ(parallel[f].dropped_expired, serial[f].dropped_expired);
+        }
+    }
+}
+
+// Reference stage 1: the engine's slice loop as it was written on one
+// EventQueue of self-rescheduling std::function events per slice. The
+// engine's tick ring must reproduce its (when, seq) event order exactly.
+// `far_events` counts arrivals scheduled kRingTicks or more ahead, the ones
+// the ring parks in its side heap.
+std::vector<FlowLoad> reference_simulate(const ContentionConfig& cfg, double service,
+                                         std::uint64_t& far_events) {
+    using ccap::sched::EventQueue;
+    using ccap::sched::FlowCounters;
+    using ccap::sched::PacingController;
+    using ccap::sched::RoundRobinFlowQueue;
+    const std::size_t slices = std::clamp<std::size_t>(cfg.slices, 1, cfg.flows);
+    std::vector<FlowLoad> out(cfg.flows);
+    far_events = 0;
+    for (std::size_t slice = 0; slice < slices; ++slice) {
+        const std::size_t lo = slice * cfg.flows / slices;
+        const std::size_t hi = (slice + 1) * cfg.flows / slices;
+        const std::size_t n = hi - lo;
+        if (n == 0) continue;
+        const double lambda = cfg.offered_load * service / static_cast<double>(cfg.flows);
+        const double p = std::clamp(lambda, 1e-12, 1.0);
+
+        EventQueue events;
+        RoundRobinFlowQueue queue(n, cfg.queue_cap, cfg.deadline);
+        const double slice_budget =
+            service * static_cast<double>(n) / static_cast<double>(cfg.flows);
+        PacingController pacer({slice_budget, std::max(slice_budget, 1.0)});
+        std::vector<ccap::util::Rng> rngs;
+        rngs.reserve(n);
+        for (std::size_t f = 0; f < n; ++f)
+            rngs.emplace_back(
+                ccap::util::substream_seed(cfg.seed, static_cast<std::uint64_t>(lo + f)));
+
+        const auto schedule = [&](SimTime when, SimTime now, EventQueue::Callback cb) {
+            if (when - now >= ContentionEngine::kRingTicks) ++far_events;
+            events.schedule_at(when, std::move(cb));
+        };
+        std::function<void(std::size_t, SimTime)> arrive;
+        arrive = [&](std::size_t f, SimTime t) {
+            (void)queue.push(f, t);
+            const std::uint64_t gap = rngs[f].geometric(p);
+            if (gap >= cfg.ticks) return;
+            const SimTime next = t + 1 + gap;
+            if (next <= cfg.ticks)
+                schedule(next, t, [&arrive, f](SimTime when) { arrive(f, when); });
+        };
+        for (std::size_t f = 0; f < n; ++f) {
+            const std::uint64_t gap = rngs[f].geometric(p);
+            if (gap >= cfg.ticks) continue;
+            schedule(1 + gap, 0, [&arrive, f](SimTime when) { arrive(f, when); });
+        }
+        std::function<void(SimTime)> tick;
+        tick = [&](SimTime t) {
+            pacer.on_tick();
+            while (queue.backlog() > 0 && pacer.try_consume()) (void)queue.pop(t);
+            if (t < cfg.ticks) events.schedule_at(t + 1, [&tick](SimTime when) { tick(when); });
+        };
+        events.schedule_at(1, [&tick](SimTime when) { tick(when); });
+        events.run_until(cfg.ticks);
+
+        for (std::size_t f = 0; f < n; ++f) {
+            const FlowCounters& c = queue.flow(f);
+            out[lo + f] = {c.enqueued + c.dropped_overflow, c.served, c.dropped_overflow,
+                           c.dropped_expired};
+        }
+    }
+    return out;
+}
+
+TEST(ContentionParallelTest, SimulationMatchesEventQueueReference) {
+    struct Case {
+        const char* name;
+        ContentionConfig cfg;
+        bool far_path = false;  ///< the case must reach the ring's side heap
+    };
+    std::vector<Case> cases;
+    const auto add = [&](const char* name, auto edit, bool far_path = false) {
+        ContentionConfig cfg = engine_config();
+        edit(cfg);
+        cases.push_back({name, cfg, far_path});
+    };
+    add("idle: load 0, p clamped to 1e-12", [](ContentionConfig& c) { c.offered_load = 0.0; });
+    add("light: load 0.3", [](ContentionConfig& c) { c.offered_load = 0.3; });
+    add("overloaded: load 1.3", [](ContentionConfig& c) { c.offered_load = 1.3; });
+    add("saturated: p clamped to 1", [](ContentionConfig& c) { c.offered_load = 40.0; });
+    add("flows < slices", [](ContentionConfig& c) {
+        c.flows = 5;
+        c.slices = 16;
+        c.offered_load = 1.3;
+    });
+    add("queue_cap 1, deadline 3", [](ContentionConfig& c) {
+        c.queue_cap = 1;
+        c.deadline = 3;
+        c.offered_load = 1.3;
+    });
+    add("fractional slice budget", [](ContentionConfig& c) {
+        c.flows = 400;
+        c.slices = 64;
+        c.service_per_tick = 3.0;
+    });
+    add("ticks 1", [](ContentionConfig& c) { c.ticks = 1; });
+    add("far arrivals: ticks 6 * ring, low load", [](ContentionConfig& c) {
+        c.ticks = 6 * ContentionEngine::kRingTicks;
+        c.offered_load = 0.05;
+        c.deadline = 0;
+    }, /*far_path=*/true);
+    // Sparse per-flow arrivals into one slow, overloaded server: the order of
+    // far arrivals against the service tick decides drops and serves.
+    add("far arrivals: slow overloaded server, queue_cap 1", [](ContentionConfig& c) {
+        c.ticks = 6 * ContentionEngine::kRingTicks;
+        c.slices = 2;
+        c.service_per_tick = 1.0;
+        c.offered_load = 1.3;
+        c.queue_cap = 1;
+        c.deadline = 2;
+    }, /*far_path=*/true);
+
+    CapacityCache cache(cache_config());
+    for (const Case& tc : cases) {
+        SCOPED_TRACE(tc.name);
+        ContentionConfig cfg = tc.cfg;
+        std::uint64_t far_events = 0;
+        const double service = ContentionEngine(cfg, cache).service_per_tick();
+        const std::vector<FlowLoad> ref = reference_simulate(cfg, service, far_events);
+        if (tc.far_path) {
+            EXPECT_GT(far_events, 0u);
+        }
+        for (unsigned threads : {1u, 4u}) {
+            cfg.threads = threads;
+            const std::vector<FlowLoad> got = ContentionEngine(cfg, cache).simulate();
+            ASSERT_EQ(got.size(), ref.size());
+            std::size_t mismatches = 0;
+            for (std::size_t f = 0; f < ref.size(); ++f)
+                mismatches += got[f].offered != ref[f].offered ||
+                              got[f].served != ref[f].served ||
+                              got[f].dropped_overflow != ref[f].dropped_overflow ||
+                              got[f].dropped_expired != ref[f].dropped_expired;
+            EXPECT_EQ(mismatches, 0u) << "threads " << threads;
         }
     }
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -146,6 +148,41 @@ TEST(Rng, GeometricMeanMatches) {
 TEST(Rng, GeometricCertainSuccessIsZero) {
     Rng rng(17);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0U);
+}
+
+TEST(Rng, GeometricMatchesInversionFormula) {
+    // In range, the draws are exactly floor(log(U)/log1p(-p)) on the stream.
+    for (const double p : {0.9, 0.25, 1e-3, 1e-9, 1e-12, 1e-17}) {
+        Rng rng(22);
+        Rng ref(22);
+        for (int i = 0; i < 1000; ++i) {
+            const double u = 1.0 - ref.uniform();
+            const auto expect =
+                static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
+            ASSERT_EQ(rng.geometric(p), expect) << "p=" << p << " draw " << i;
+        }
+    }
+}
+
+TEST(Rng, GeometricSaturatesPastTwoToThe64) {
+    // log(U)/log1p(-p) reaches ~1e300 here; the conversion must saturate to
+    // the "never" value p <= 0 returns, not overflow. U = 1 (a 2^-53 event)
+    // is the only draw that maps to 0.
+    Rng rng(23);
+    for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng.geometric(1e-300), ~0ULL);
+    EXPECT_EQ(rng.geometric(0.0), ~0ULL);
+    EXPECT_EQ(rng.geometric(-1.0), ~0ULL);
+    EXPECT_EQ(rng.geometric(std::nan("")), ~0ULL);
+}
+
+TEST(Rng, GeometricSamplerMatchesRngGeometric) {
+    for (const double p : {1.0, 0.5, 0.08125, 1e-6, 1e-12, 1e-300, 0.0}) {
+        const ccap::util::Geometric geometric(p);
+        Rng a(24);
+        Rng b(24);
+        for (int i = 0; i < 500; ++i) ASSERT_EQ(geometric(a), b.geometric(p)) << "p=" << p;
+        EXPECT_EQ(a.next(), b.next()) << "streams diverged at p=" << p;
+    }
 }
 
 TEST(Rng, NormalMoments) {

@@ -88,10 +88,12 @@ struct Args {
                              "'");
         return v;
     }
-    /// Non-negative integer option (counts, seeds, delays).
+    /// Non-negative integer option (counts, seeds, delays) that fits in 64
+    /// bits: a value at or past 2^64 has no uint64_t to convert to.
     [[nodiscard]] std::uint64_t count(const std::string& key, std::uint64_t fallback) const {
-        const double v = number(key, static_cast<double>(fallback));
-        if (v < 0.0 || v != std::floor(v))
+        if (values.find(key) == values.end()) return fallback;
+        const double v = number(key, 0.0);
+        if (v < 0.0 || v != std::floor(v) || v >= 0x1p64)
             throw UsageError("option --" + key + " expects a non-negative integer, got '" +
                              values.at(key) + "'");
         return static_cast<std::uint64_t>(v);

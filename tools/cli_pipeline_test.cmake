@@ -60,6 +60,9 @@ ccap_expect_failure(2 "expects a number"
 # Out-of-range values: negative counts and infeasible probabilities.
 ccap_expect_failure(2 "non-negative integer"
   mi --threads -2)
+# Past 2^64 no uint64_t holds the value: a usage error, not a wrapped count.
+ccap_expect_failure(2 "non-negative integer"
+  contend --ticks 1e20)
 ccap_expect_failure(1 "exceeds 1"
   bounds --pd 0.8 --pi 0.6)
 # CRN point tiling: malformed width is a usage error, and the flag only
