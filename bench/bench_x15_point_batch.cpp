@@ -25,7 +25,7 @@
 // per-point block count (the capacity-cache refinement pattern — the
 // certificate wants many correlated nodes, not a few precise ones). That
 // is exactly where the independent path wastes the machine: each point
-// offers only num_blocks lanes per sweep (sub-width, masked tails) and
+// offers only num_blocks lanes per sweep (sub-width, scalar tails) and
 // pays the engine setup per point, while the CRN tile packs
 // blocks x points lanes into full vectors and pays the setup per tile.
 //

@@ -75,7 +75,11 @@ struct WindowEstimate {
 /// maximizes sum over blocks of log2 P(received | sent; P_d, P_i, P_s)
 /// computed exactly by the drift lattice, via bounded coordinate descent
 /// (golden-section per parameter) seeded from the alignment estimate.
-/// Slower, but consistent; the analyzer uses it by default.
+/// Only the first 2048 sent symbols (rounded up to a whole block) are split
+/// into blocks and fitted, and the descent runs two sweeps that stop at
+/// golden-section tolerance 2e-3.
+/// Slower than the alignment estimator, but consistent; the analyzer uses
+/// it by default.
 [[nodiscard]] ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
                                                 std::span<const std::uint32_t> received,
                                                 unsigned bits_per_symbol,
@@ -85,8 +89,11 @@ struct WindowEstimate {
 /// exact posterior expected event counts (DriftHmm::expected_events) with
 /// closed-form M-steps P_d = E[D]/E[uses], P_i = E[I]/E[uses],
 /// P_s = E[S]/E[T]. Monotone in likelihood and typically converges in
-/// ~10-20 iterations — the preferred estimator when throughput matters;
-/// agrees with estimate_params_mle at the optimum.
+/// ~10-20 iterations. Not a drop-in equivalent of estimate_params_mle:
+/// EM fits the first 4096 sent symbols (MLE: 2048), so the two maximize
+/// different block likelihoods, and MLE stops at golden-section tolerance
+/// 2e-3. On 20k-symbol traces their P_d fits differ by up to 0.011, and
+/// EM is not the faster of the two. Unifying them is ROADMAP.md item 2.
 [[nodiscard]] ParamEstimate estimate_params_em(std::span<const std::uint32_t> sent,
                                                std::span<const std::uint32_t> received,
                                                unsigned bits_per_symbol,

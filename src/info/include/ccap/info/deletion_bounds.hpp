@@ -59,18 +59,6 @@ struct MiEstimate {
     bool converged = true;
 };
 
-/// How the Monte-Carlo estimators shape their work across the batched
-/// lattice and the thread pool.
-enum class McTiling {
-    /// Tile blocks as lanes x threads: each worker advances a tile of
-    /// resolved_mc_batch() blocks through the lockstep SIMD engine
-    /// (batch_lattice.hpp), and tiles are distributed over the pool.
-    lanes_by_threads,
-    /// One block per lattice sweep (scalar LatticeEngine); threads still
-    /// split blocks. Equivalent to batch = 1. Reference/debugging path.
-    scalar,
-};
-
 /// Knobs shared by the Monte-Carlo mutual-information estimators.
 ///
 /// Parallelism contract: the estimators consume exactly one draw from the
@@ -97,9 +85,6 @@ struct McOptions {
     /// band_eps > 0 the shared union band may prune slightly less than
     /// scalar banding — never more, so the lower bound stands).
     std::size_t batch = 0;
-    /// Work-shaping policy; McTiling::scalar forces batch = 1 regardless
-    /// of `batch` (handy for A/B timing without touching the lane knob).
-    McTiling tiling = McTiling::lanes_by_threads;
     /// Adaptive precision. 0 (default) = fixed mode: exactly num_blocks
     /// blocks run, bit-identical to the historical behavior. > 0: blocks
     /// run in rounds of num_blocks (mc_round_blocks), and after each round
@@ -171,7 +156,7 @@ inline constexpr std::size_t kMcPointTileAuto = static_cast<std::size_t>(-1);
 /// a span of `num_points` points: 0 when opts.point_tile is 0 (independent
 /// streams); otherwise opts.point_tile — auto resolves to a vector-width
 /// multiple — clamped to num_points. Tiny workloads stay sub-vector-width
-/// rather than padding up: the masked-tail kernels (lattice_simd.hpp) make
+/// rather than padding up: the in-kernel tail loops (lattice_simd.hpp) make
 /// small sweeps pay only for live lanes.
 [[nodiscard]] std::size_t resolved_point_tile(const McOptions& opts, std::size_t num_points);
 
@@ -188,8 +173,7 @@ inline constexpr std::size_t kMcPointTileAuto = static_cast<std::size_t>(-1);
 /// auto-resolved (0) ISA-aware — a multiple of the active SIMD vector
 /// width (util::active_simd_path()) sized so the hot rows of a lockstep
 /// step stay L1-resident — then clamped to opts.num_blocks. Never a
-/// function of opts.threads (the thread-invariance contract above). 1
-/// whenever opts.tiling is McTiling::scalar.
+/// function of opts.threads (the thread-invariance contract above).
 [[nodiscard]] std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params);
 
 /// Monte-Carlo achievable rate of the deletion-insertion(-substitution)

@@ -6,15 +6,18 @@
 // rows (plus two fused insert-run sweeps over several such rows at once).
 // Autovectorization of those loops tops out at the baseline ISA
 // (SSE2 on x86-64: two doubles per op); this header names them as a
-// function-pointer table with one hand-written implementation per
-// instruction set — scalar, NEON, AVX2, AVX-512 — each compiled in its own
-// translation unit with exactly its own -m flags (src/info/CMakeLists.txt)
-// and selected once at startup by ccap::util::active_simd_path().
+// function-pointer table with one implementation per instruction set —
+// scalar, NEON, AVX2, AVX-512 — each compiled in its own translation unit
+// with exactly its own -m flags (src/info/CMakeLists.txt) and selected once
+// at startup by ccap::util::active_simd_path(). The AVX2 and AVX-512 tables
+// come from one source written with GCC vector types
+// (lattice_kernels_vec.inc), compiled at 4 and 8 doubles per vector; NEON
+// keeps its own intrinsic file.
 //
 // Bit-identity contract: every kernel is elementwise — lane l of the
 // output depends only on lane l of the inputs, through the *same* IEEE-754
 // operation sequence as the scalar reference loop. The vector TUs are
-// compiled with -ffp-contract=off and use separate multiply/add intrinsics
+// compiled with -ffp-contract=off and emit separate multiplies and adds
 // (never FMA), and the two select kernels pick an exact table entry (their
 // selector bytes are validated symbols in {0, 1}, for which the scalar
 // arithmetic select e0*(1-s) + e1*s IS the selected entry bit for bit).
@@ -25,10 +28,10 @@
 // Callers with lane counts >= vector_doubles pad to a multiple of it and
 // align the backing arenas (lattice_engine.hpp), so the hot calls run full
 // vectors only. Ragged tails — sub-width batches and unpadded result rows
-// — are handled inside every kernel: the AVX2/AVX-512 TUs finish them with
-// one masked vector op (no reads or writes past L, so a row may end flush
-// against the end of an allocation), the scalar/NEON TUs with a scalar
-// loop; both orders are elementwise and bit-identical.
+// — are handled inside every kernel by a scalar loop over the remaining
+// lanes: it never reads or writes past L (so a row may end flush against
+// the end of an allocation) and performs the reference's own operations,
+// so tails are bit-identical too.
 #pragma once
 
 #include <cstddef>

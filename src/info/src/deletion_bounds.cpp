@@ -187,12 +187,11 @@ std::size_t resolved_point_tile(const McOptions& opts, std::size_t num_points) {
         g = g / W * W;
     }
     // Clamp, never pad: a tile smaller than the vector width runs unpadded
-    // through the masked-tail kernels instead of paying for dead lanes.
+    // through the kernels' scalar tail loops instead of paying for dead lanes.
     return std::min(g, num_points);
 }
 
 std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params) {
-    if (opts.tiling == McTiling::scalar) return 1;
     std::size_t b = opts.batch;
     if (b == 0) {
         // Auto: size the tile so the hot set of a lockstep row step —

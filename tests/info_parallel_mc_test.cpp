@@ -213,26 +213,6 @@ TEST_P(ParallelMcTileInvariance, IidBitIdenticalToSerialScalar) {
     expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
 }
 
-TEST_P(ParallelMcTileInvariance, ScalarTilingPolicyOverridesBatchAxis) {
-    // McTiling::scalar must pin the tile to one lane for ANY (threads,
-    // batch) request — resolved_mc_batch is a pure policy function — and the
-    // estimate must stay bit-identical to the serial scalar baseline.
-    const DriftParams p{0.12, 0.04, 0.02, 2, 24, 6};
-    McOptions opts = base_options();
-
-    opts.threads = 1;
-    opts.batch = 1;
-    Rng serial_rng(0x5CA1AB1E);
-    const MiEstimate serial = iid_mutual_information_rate(p, opts, serial_rng);
-
-    opts.threads = GetParam().threads;
-    opts.batch = GetParam().batch;
-    opts.tiling = McTiling::scalar;
-    EXPECT_EQ(resolved_mc_batch(opts, p), 1u);
-    Rng rng(0x5CA1AB1E);
-    expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
-}
-
 TEST_P(ParallelMcTileInvariance, MarkovBitIdenticalToSerialScalar) {
     const DriftParams p{0.15, 0.02, 0.01, 2, 24, 6};
     const MarkovSource src = MarkovSource::binary_repeat(0.75);
@@ -553,7 +533,7 @@ TEST(ParallelMcCrnPoints, ResolvedPointTilePolicy) {
     const std::size_t g = resolved_point_tile(opts, 1000);
     EXPECT_GE(g, std::max<std::size_t>(W, 8));
     EXPECT_EQ(g % W, 0u);
-    EXPECT_EQ(resolved_point_tile(opts, 3), 3u);  // tiny grid: masked tail
+    EXPECT_EQ(resolved_point_tile(opts, 3), 3u);  // tiny grid: sub-width tail
 }
 
 TEST(ParallelMcCrnPoints, FixedModeBitIdenticalAcrossThreadsBatchAndTile) {

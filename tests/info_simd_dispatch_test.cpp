@@ -10,6 +10,8 @@
 // clamp down gracefully).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -239,14 +241,23 @@ TEST(SimdDispatch, EveryPathKeepsCertifiedSlackInBandedMode) {
 }
 
 // ---------------------------------------------------------------------------
-// Ragged masked tails: every kernel, every path, exact-size buffers.
+// Ragged tails: every kernel, every path, exact-size buffers.
 // ---------------------------------------------------------------------------
+
+/// Bit patterns of a row, so -0.0 and +0.0 compare unequal.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+    std::vector<std::uint64_t> out(v.size());
+    std::transform(v.begin(), v.end(), out.begin(),
+                   [](double x) { return std::bit_cast<std::uint64_t>(x); });
+    return out;
+}
 
 // Exercises every LaneKernels entry on lane counts that are NOT multiples of
 // any vector width, with buffers allocated to exactly the touched size — a
 // tail that read or wrote one lane past L would trip ASan/UBSan in the
 // sanitizer tier-1 stages and, for stores, corrupt the guard value checked
-// below. Results must be bitwise those of the scalar reference kernels.
+// below. Results must be bitwise those of the scalar reference kernels:
+// compared as bit patterns, since == cannot tell -0.0 from +0.0.
 TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
     const LaneKernels& ref = *lane_kernels_scalar();
     Rng rng(424242);
@@ -271,39 +282,49 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
             auto b = a;
             k.axpy(a.data(), src.data(), 1.75, L);
             ref.axpy(b.data(), src.data(), 1.75, L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.fma_weighted(a.data(), src.data(), dw[0], tw[0], e.data(), L);
             ref.fma_weighted(b.data(), src.data(), dw[0], tw[0], e.data(), L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.accumulate(a.data(), src.data(), L);
             ref.accumulate(b.data(), src.data(), L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.maximum(a.data(), src.data(), L);
             ref.maximum(b.data(), src.data(), L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.divide(a.data(), norm.data(), L);
             ref.divide(b.data(), norm.data(), L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.select_const(a.data(), sel.data(), 0.125, 0.875, L);
             ref.select_const(b.data(), sel.data(), 0.125, 0.875, L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.select_lanes(a.data(), sel.data(), e.data(), src.data(), L);
             ref.select_lanes(b.data(), sel.data(), e.data(), src.data(), L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
+
+            // Signed zeros: a kernel that rebuilt a scalar weight as
+            // `0.0 + w` would turn -0.0 into +0.0 in these lanes.
+            k.select_const(a.data(), sel.data(), -0.0, 0.875, L);
+            ref.select_const(b.data(), sel.data(), -0.0, 0.875, L);
+            EXPECT_EQ(bits(a), bits(b));
+            for (std::size_t l = 0; l < L; l += 2) a[l] = b[l] = -0.0;
+            k.axpy(a.data(), src.data(), -0.0, L);
+            ref.axpy(b.data(), src.data(), -0.0, L);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.fma_run(a.data(), src.data(), dw.data(), tw.data(), e.data(), kRuns, L);
             ref.fma_run(b.data(), src.data(), dw.data(), tw.data(), e.data(), kRuns, L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.fma_acc_run(a.data(), src.data(), dw.data(), tw.data(), e.data(), kRuns, L);
             ref.fma_acc_run(b.data(), src.data(), dw.data(), tw.data(), e.data(), kRuns, L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             // fma_dest_run walks the weight arrays backward from the given
             // origin: pass the last element so indices [-cnt+1, 0] stay in
@@ -317,7 +338,7 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
                                    tw.data() + (kRuns - 1), e.data(), del, 0.375, cnt, L);
                     ref.fma_dest_run(db.data(), src.data(), dw.data() + (kRuns - 1),
                                      tw.data() + (kRuns - 1), e.data(), del, 0.375, cnt, L);
-                    EXPECT_EQ(da, db) << "cnt=" << cnt << " del=" << (del != nullptr);
+                    EXPECT_EQ(bits(da), bits(db)) << "cnt=" << cnt << " del=" << (del != nullptr);
                 }
             }
 
@@ -327,13 +348,13 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
 
             k.axpy_lanes(a.data(), src.data(), norm.data(), L);
             ref.axpy_lanes(b.data(), src.data(), norm.data(), L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             k.fma_acc_run_pl(a.data(), src.data(), dwp.data(), twp.data(), e.data(),
                              kRuns, L);
             ref.fma_acc_run_pl(b.data(), src.data(), dwp.data(), twp.data(), e.data(),
                                kRuns, L);
-            EXPECT_EQ(a, b);
+            EXPECT_EQ(bits(a), bits(b));
 
             // fma_dest_run_pl walks the weight planes backward by whole
             // planes from the given origin: pass the last plane so offsets
@@ -350,14 +371,14 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
                                         dwp.data() + (kRuns - 1) * L,
                                         twp.data() + (kRuns - 1) * L, e.data(), del,
                                         twp.data(), cnt, L);
-                    EXPECT_EQ(da, db) << "pl cnt=" << cnt << " del=" << (del != nullptr);
+                    EXPECT_EQ(bits(da), bits(db)) << "pl cnt=" << cnt << " del=" << (del != nullptr);
                 }
             }
         }
     }
 }
 
-// Sub-width batches must run unpadded (lane_stride == lanes): the masked
+// Sub-width batches must run unpadded (lane_stride == lanes): the in-kernel
 // tails make the dead padding lanes unnecessary, and the engine output must
 // still match the scalar engine bit for bit.
 TEST(SimdDispatch, TinyBatchesRunUnpaddedAndBitIdentical) {
@@ -373,7 +394,7 @@ TEST(SimdDispatch, TinyBatchesRunUnpaddedAndBitIdentical) {
             const auto rx = spans(lanes.rx);
             ScopedWorkspace ws;
             BatchLatticeEngine eng(params, hmm.tables(), rx, kN, ws.get());
-            // The whole point of the masked tails: no dead padding lanes.
+            // The whole point of the in-kernel tails: no dead padding lanes.
             EXPECT_EQ(eng.lane_stride(), batch)
                 << "path=" << ccap::util::simd_path_name(p);
             const auto got = hmm.log2_likelihood_batch(spans(lanes.tx), rx, ws);
@@ -394,12 +415,7 @@ TEST(SimdDispatch, ResolvedMcBatchRespectsTilingPolicyAndVectorWidth) {
     McOptions opts;
     opts.num_blocks = 64;
 
-    opts.tiling = McTiling::scalar;
-    EXPECT_EQ(resolved_mc_batch(opts, params), 1u);
     opts.batch = 12;
-    EXPECT_EQ(resolved_mc_batch(opts, params), 1u);  // policy wins over batch
-
-    opts.tiling = McTiling::lanes_by_threads;
     EXPECT_EQ(resolved_mc_batch(opts, params), 12u);  // explicit batch honoured
     opts.batch = 0;
     for (SimdPath p : available_paths()) {

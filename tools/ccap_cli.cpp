@@ -212,10 +212,9 @@ void print_lattice_verbose(std::FILE* out, const info::McOptions& opts,
         opts.batch == 0 ? "auto" : std::to_string(opts.batch);
     std::fprintf(out,
                  "# simd: %s (%zu doubles/vector, cpu: %s)\n"
-                 "# mc tile: %zu lanes x %u threads (batch %s, tiling %s)\n",
+                 "# mc tile: %zu lanes x %u threads (batch %s)\n",
                  k.name, k.vector_doubles, util::cpu_feature_string().c_str(),
-                 info::resolved_mc_batch(opts, params), workers, batch_str.c_str(),
-                 opts.tiling == info::McTiling::scalar ? "scalar" : "lanes-by-threads");
+                 info::resolved_mc_batch(opts, params), workers, batch_str.c_str());
     if (opts.point_tile != 0) {
         // CRN point tiling: report the resolved tile width (clamped to the
         // grid when its size is known).
