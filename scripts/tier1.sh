@@ -1,26 +1,23 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build + tests, then a build-only Release stage and the
-# concurrency suite under TSan.
+# Tier-1 gate: full build + tests, then a build-only Release stage, the
+# core/info/estimate/util/sched tests under UBSan and the concurrency suite
+# under TSan.
 #
-#   ./scripts/tier1.sh            # standard, Release and TSan stages
+#   ./scripts/tier1.sh            # standard, Release, UBSan and TSan stages
 #   CCAP_SKIP_TSAN=1 ./scripts/tier1.sh   # standard stage only
 #   CCAP_RUN_ASAN=1 ./scripts/tier1.sh    # additionally run the
 #                                         # info/util/estimate/sched tests under
 #                                         # -fsanitize=address (opt-in: ~3x
 #                                         # slower, catches the arena
 #                                         # over/under-reads the SoA lattice
-#                                         # layouts and the bit-parallel
-#                                         # alignment columns and the
-#                                         # contention tick ring are prone to)
-#   CCAP_RUN_UBSAN=1 ./scripts/tier1.sh   # additionally run the
-#                                         # core/info/estimate/util/sched
-#                                         # tests under -fsanitize=undefined
-#                                         # plus float-cast-overflow (opt-in:
-#                                         # cheap; catches the overflow/shift
-#                                         # bugs the backoff, fault-schedule,
-#                                         # bit-parallel alignment, geometric
-#                                         # sampling and tick-ring arithmetic
-#                                         # could hide)
+#                                         # layouts, the counted lane kernels,
+#                                         # the bit-parallel alignment columns
+#                                         # and the contention tick ring are
+#                                         # prone to)
+#
+# The UBSan stage runs -fsanitize=undefined plus float-cast-overflow; it
+# catches the overflow/shift bugs the backoff, fault-schedule, bit-parallel
+# alignment, geometric sampling and tick-ring arithmetic could hide.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,28 +50,18 @@ if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
         -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build build-asan -j"$(nproc)" --target ccap_util_tests ccap_info_tests ccap_estimate_tests \
         ccap_sched_tests
-    (cd build-asan && ctest --output-on-failure -R 'ccap_util|ccap_info|Lattice|BatchLattice|ParallelMc|Drift')
-    (cd build-asan && ./tests/ccap_estimate_tests --gtest_brief=1 \
+    # Run the binaries directly: every test they hold runs under ASan,
+    # including the SimdDispatch kernel tests whose counted kernels read
+    # across rows (a ctest -R filter would only match a subset of the
+    # discovered names).
+    (cd build-asan && ./tests/ccap_util_tests --gtest_brief=1 \
+        && ./tests/ccap_info_tests --gtest_brief=1 \
+        && ./tests/ccap_estimate_tests --gtest_brief=1 \
         && ./tests/ccap_sched_tests --gtest_brief=1)
 fi
 
-if [[ "${CCAP_RUN_UBSAN:-0}" == "1" ]]; then
-    echo "== tier1: core/info/estimate/util/sched tests under -fsanitize=undefined (opt-in) =="
-    cmake -B build-ubsan -S . \
-        -DCCAP_SANITIZE=undefined \
-        -DCCAP_BUILD_BENCH=OFF \
-        -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
-    cmake --build build-ubsan -j"$(nproc)" --target ccap_core_tests ccap_info_tests ccap_estimate_tests \
-        ccap_util_tests ccap_sched_tests
-    # Run the binaries directly: every test they hold runs under UBSan
-    # (a ctest -R filter would only match a subset of the discovered names).
-    (cd build-ubsan && ./tests/ccap_core_tests && ./tests/ccap_info_tests \
-        && ./tests/ccap_estimate_tests && ./tests/ccap_util_tests \
-        && ./tests/ccap_sched_tests)
-fi
-
 if [[ "${CCAP_SKIP_TSAN:-0}" == "1" ]]; then
-    echo "== tier1: Release and TSan stages skipped (CCAP_SKIP_TSAN=1) =="
+    echo "== tier1: Release, UBSan and TSan stages skipped (CCAP_SKIP_TSAN=1) =="
     exit 0
 fi
 
@@ -83,6 +70,21 @@ fi
 echo "== tier1: Release build (build only) =="
 cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-rel -j"$(nproc)"
+
+echo "== tier1: core/info/estimate/util/sched tests under -fsanitize=undefined =="
+cmake -B build-ubsan -S . \
+    -DCCAP_SANITIZE=undefined \
+    -DCCAP_BUILD_BENCH=OFF \
+    -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-ubsan -j"$(nproc)" --target ccap_core_tests ccap_info_tests \
+    ccap_estimate_tests ccap_util_tests ccap_sched_tests
+# Run the binaries directly: every test they hold runs under UBSan
+# (a ctest -R filter would only match a subset of the discovered names).
+(cd build-ubsan && ./tests/ccap_core_tests --gtest_brief=1 \
+    && ./tests/ccap_info_tests --gtest_brief=1 \
+    && ./tests/ccap_estimate_tests --gtest_brief=1 \
+    && ./tests/ccap_util_tests --gtest_brief=1 \
+    && ./tests/ccap_sched_tests --gtest_brief=1)
 
 echo "== tier1: thread-pool + parallel-MC tests under -fsanitize=thread =="
 cmake -B build-tsan -S . \

@@ -11,10 +11,14 @@
 //     for (row j, drift d, lane l) lives at (j * width + idx(d)) * Bp + l,
 //     where Bp is the lane count padded up to the SIMD vector width. The
 //     hot lane loops are the runtime-dispatched kernels of
-//     lattice_simd.hpp — explicit AVX-512 / AVX2 / NEON translation units
-//     selected once at startup (util::active_simd_path(), overridable with
-//     CCAP_SIMD) — so the engine runs full vectors regardless of how the
-//     surrounding code was compiled. Padding lanes carry exactly 0.0
+//     lattice_simd.hpp — per-ISA translation units (AVX-512 and AVX2 from
+//     one vector-extension source, NEON from intrinsics) selected once at
+//     startup (util::active_simd_path(), overridable with CCAP_SIMD) — so
+//     the engine runs full vectors regardless of how the surrounding code
+//     was compiled. Each forward row is a handful of counted kernel calls:
+//     one emission fill, the edge columns one by one, one interleaved call
+//     for the interior columns, one norm accumulation and one divide over
+//     the row's drift range. Padding lanes carry exactly 0.0
 //     through every linear operation and their norms are pinned to 1.0
 //     before the shared divides, so they never produce NaN/Inf and never
 //     perturb a real lane. All arenas come from the same grow-only
@@ -228,14 +232,17 @@ public:
         return union_window(j, lo, hi);
     }
 
-    /// Lockstep forward pass. emit_plane(ed, j, rxr) must fill
-    /// ed[0..lane_stride()) with each lane's emission factor for its
-    /// received symbol rxr[l] at transmitted position j — a whole-lane-row
-    /// contract so callers can vectorize the fill (batch_lattice.cpp maps
-    /// the binary alphabet onto the dispatched select kernels). Padding
-    /// entries must be finite (any valid-symbol value works; they multiply
-    /// zero cells). With band_eps = 0, every lane's rows/scales/evidence
-    /// are bit-identical to a scalar LatticeEngine run on that lane alone.
+    /// Lockstep forward pass. emit_plane(ed, j, rxr, cols) must fill
+    /// `cols` consecutive emission planes: for c < cols and l <
+    /// lane_stride(), ed[c * lane_stride() + l] is lane l's emission factor
+    /// for its received symbol rxr[c * lane_stride() + l] at transmitted
+    /// position j. The received rows of consecutive drifts are consecutive
+    /// SoA rows, so one call covers a row's whole drift range and callers
+    /// can vectorize the fill (batch_lattice.cpp maps the binary alphabet
+    /// onto the dispatched select kernels). Padding entries must be finite
+    /// (any valid-symbol value works; they multiply zero cells). With
+    /// band_eps = 0, every lane's rows/scales/evidence are bit-identical to
+    /// a scalar LatticeEngine run on that lane alone.
     template <typename PlaneFn>
     void forward(PlaneFn&& emit_plane, double band_eps) {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
@@ -254,6 +261,11 @@ public:
         for (std::size_t l = L; l < Lp; ++l) c0[l] = 0.0;  // pads stay zero
         band_[0] = 0;
         band_[1] = 0;
+        // Exact mode: a tile whose every lane has no admissible final drift
+        // ends at {-inf, slack 0} however far its mass spreads, so skip the
+        // sweep (the longest lane is the last to become unreachable).
+        if (!banded_ && final_drift_unreachable(n_, m_max_, d_max_))
+            return kill_all_from(1);
 
         const int run = p_->max_insert_run;
         for (std::size_t j = 1; j <= n_; ++j) {
@@ -267,18 +279,20 @@ public:
             double* __restrict cur = alpha_.data() + j * row_stride_;
             const double* __restrict prev = alpha_.data() + (j - 1) * row_stride_;
 
-            // One emission plane per row: a transmission landing at drift d
-            // consumed received index (j-1) + d regardless of where it came
-            // from. Lowest emission-reachable drift is the previous band lo.
-            for (int d = std::max(clo, plo); d <= chi; ++d) {
-                const std::uint8_t* rxr =
-                    rx_.data() +
-                    static_cast<std::size_t>(static_cast<long long>(j - 1) + d) * Lp;
-                emit_plane(emit_.data() + idx(d) * Lp, j - 1, rxr);
-            }
+            // One emission plane per drift: a transmission landing at drift
+            // d consumed received index (j-1) + d regardless of where it
+            // came from. Lowest emission-reachable drift is the previous
+            // band lo; the planes of [elo, chi] fill in one call.
+            const int elo = std::max(clo, plo);
+            if (elo <= chi)
+                emit_plane(emit_.data() + idx(elo) * Lp, j - 1,
+                           rx_.data() +
+                               static_cast<std::size_t>(static_cast<long long>(j - 1) + elo) *
+                                   Lp,
+                           static_cast<std::size_t>(chi - elo + 1));
 
             // Destination-major propagation: each destination column pulls
-            // its whole insert run through one fused kernel call, so the
+            // its whole insert run through the fused kernel, so the
             // accumulator lives in registers, every cell is stored exactly
             // once, and no zero-fill pass is needed. A source at drift dp
             // reaches destination d with run length g = d + 1 - dp: the
@@ -286,8 +300,9 @@ public:
             // walked down from g0, and the run-0 pure-deletion term (source
             // d + 1, no emission factor) lands last — the same per-cell
             // contribution order (source-drift ascending) as a source-major
-            // scatter, hence bitwise the same sums.
-            for (int d = clo; d <= chi; ++d) {
+            // scatter, hence bitwise the same sums. propagate(d, cols) runs
+            // columns [d, d + cols) under column d's shape.
+            const auto propagate = [&](int d, std::size_t cols) {
                 const int dp_min = std::max(plo, d + 1 - run);
                 const int dp_max = std::min(phi, d);
                 const std::size_t cnt =
@@ -299,14 +314,29 @@ public:
                                       del_w_pl_.data() + static_cast<std::size_t>(g0) * Lp,
                                       tx_w_pl_.data() + static_cast<std::size_t>(g0 - 1) * Lp,
                                       emit_.data() + idx(d) * Lp, src_del,
-                                      del_w_pl_.data(), cnt, Lp);
+                                      del_w_pl_.data(), cnt, cols, Lp);
                 } else {
                     k.fma_dest_run(cur + idx(d) * Lp, prev + idx(dp_min) * Lp,
                                    t_->del_w.data() + g0, t_->tx_w.data() + (g0 - 1),
                                    emit_.data() + idx(d) * Lp, src_del, t_->del_w[0], cnt,
-                                   Lp);
+                                   cols, Lp);
                 }
+            };
+            // Interior columns [ilo, ihi] all take a full run of sources
+            // (cnt = run, g0 = run) plus the deletion source src + run
+            // planes, each shifted one plane from its left neighbour, so
+            // one counted call advances them all. Edge columns near plo
+            // (short runs) and phi (no deletion source, clipped runs) keep
+            // their own single-column calls.
+            const int ilo = std::max(clo, plo - 1 + run);
+            const int ihi = std::min(chi, phi - 1);
+            int d = clo;
+            if (ilo <= ihi) {
+                for (; d < ilo; ++d) propagate(d, 1);
+                propagate(ilo, static_cast<std::size_t>(ihi - ilo + 1));
+                d = ihi + 1;
             }
+            for (; d <= chi; ++d) propagate(d, 1);
 
             // Mask each lane's cells beyond its own valid window: their
             // accumulation consumed pad symbols and must read exactly 0.
@@ -320,7 +350,8 @@ public:
             for (std::size_t l = 0; l < Lp; ++l) pruned_[l] = 0.0;
             if (band_eps > 0.0) {
                 for (std::size_t l = 0; l < Lp; ++l) rmax_[l] = 0.0;
-                for (int d = clo; d <= chi; ++d) k.maximum(rmax_.data(), cur + idx(d) * Lp, Lp);
+                k.maximum(rmax_.data(), cur + idx(clo) * Lp,
+                          static_cast<std::size_t>(chi - clo + 1), Lp);
                 // Shared band: trim a drift column only when every lane
                 // with mass this row is below its own threshold, so no
                 // lane is ever pruned harder than its scalar banded run.
@@ -348,8 +379,10 @@ public:
                 }
             }
 
+            // Row range [clo, chi] is empty only when banding trimmed it.
+            const std::size_t cols = clo <= chi ? static_cast<std::size_t>(chi - clo + 1) : 0;
             for (std::size_t l = 0; l < Lp; ++l) norm_[l] = 0.0;
-            for (int d = clo; d <= chi; ++d) k.accumulate(norm_.data(), cur + idx(d) * Lp, Lp);
+            k.accumulate(norm_.data(), cur + idx(clo) * Lp, cols, Lp);
             bool any_alive = false;
             for (std::size_t l = 0; l < L; ++l) {
                 if (alive_[l] == 0) {
@@ -370,7 +403,7 @@ public:
             }
             if (!any_alive) return kill_all_from(j);
             for (std::size_t l = L; l < Lp; ++l) norm_[l] = 1.0;  // 0.0 / 1.0 keeps pads clean
-            for (int d = clo; d <= chi; ++d) k.divide(cur + idx(d) * Lp, norm_.data(), Lp);
+            k.divide(cur + idx(clo) * Lp, norm_.data(), cols, Lp);
             band_[2 * j] = clo;
             band_[2 * j + 1] = chi;
         }
@@ -378,7 +411,9 @@ public:
 
     /// Lockstep backward pass, symmetric to forward (same emit_plane
     /// contract), swept over beta_window(). Lanes whose cells are zero
-    /// propagate zeros, so ragged lanes need no masking here.
+    /// propagate zeros, so ragged lanes need no masking here. The gathers
+    /// stay one fma_acc_run call per source column; the emission fill and
+    /// the divides take a whole row range per call.
     template <typename PlaneFn>
     void backward(PlaneFn&& emit_plane) {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
@@ -397,8 +432,9 @@ public:
                 for (int d = lo; d <= hi; ++d) {
                     double* c = last + idx(d) * Lp;
                     for (std::size_t l = 0; l < L; ++l) c[l] = trailing(l, d);
-                    k.accumulate(norm_.data(), c, Lp);
                 }
+                k.accumulate(norm_.data(), last + idx(lo) * Lp,
+                             static_cast<std::size_t>(hi - lo + 1), Lp);
             }
             for (std::size_t l = 0; l < L; ++l) {
                 if (norm_[l] > 0.0) {
@@ -409,9 +445,9 @@ public:
                 }
             }
             for (std::size_t l = L; l < Lp; ++l) norm_[l] = 1.0;
-            if (live) {
-                for (int d = lo; d <= hi; ++d) k.divide(last + idx(d) * Lp, norm_.data(), Lp);
-            }
+            if (live)
+                k.divide(last + idx(lo) * Lp, norm_.data(),
+                         static_cast<std::size_t>(hi - lo + 1), Lp);
         }
         for (std::size_t j = n_; j-- > 0;) {
             double* cur = beta_.data() + j * row_stride_;
@@ -423,15 +459,14 @@ public:
             }
             int nlo = 0, nhi = -1;
             const bool next_live = beta_window(j + 1, nlo, nhi);
-            if (next_live) {
-                // Emission plane: a transmission into next-row drift d
+            const int elo = std::max(nlo, lo);
+            if (next_live && elo <= nhi) {
+                // Emission planes: a transmission into next-row drift d
                 // consumed received index j + d.
-                for (int d = std::max(nlo, lo); d <= nhi; ++d) {
-                    const std::uint8_t* rxr =
-                        rx_.data() +
-                        static_cast<std::size_t>(static_cast<long long>(j) + d) * Lp;
-                    emit_plane(emit_.data() + idx(d) * Lp, j, rxr);
-                }
+                emit_plane(emit_.data() + idx(elo) * Lp, j,
+                           rx_.data() +
+                               static_cast<std::size_t>(static_cast<long long>(j) + elo) * Lp,
+                           static_cast<std::size_t>(nhi - elo + 1));
             }
             for (std::size_t l = 0; l < Lp; ++l) norm_[l] = 0.0;
             for (int dp = lo; dp <= hi; ++dp) {
@@ -469,7 +504,7 @@ public:
                 }
                 double* c = cur + idx(dp) * Lp;
                 std::copy(acc_.begin(), acc_.end(), c);
-                k.accumulate(norm_.data(), c, Lp);
+                k.accumulate(norm_.data(), c, 1, Lp);
             }
             for (std::size_t l = 0; l < L; ++l) {
                 if (norm_[l] > 0.0) {
@@ -480,7 +515,8 @@ public:
                 }
             }
             for (std::size_t l = L; l < Lp; ++l) norm_[l] = 1.0;
-            for (int dp = lo; dp <= hi; ++dp) k.divide(cur + idx(dp) * Lp, norm_.data(), Lp);
+            k.divide(cur + idx(lo) * Lp, norm_.data(), static_cast<std::size_t>(hi - lo + 1),
+                     Lp);
         }
     }
 
@@ -523,10 +559,10 @@ private:
         const std::size_t L = lanes_;
         // Lane stride padded to the vector width: full batches round up so
         // the kernel main loops run full vectors (padding lanes hold exactly
-        // 0.0 throughout). Tiny batches (L < W) stay unpadded — the x86
-        // kernels finish ragged rows with one masked vector op that neither
-        // reads nor writes lanes past L, so sub-width batches no longer pay
-        // for W-L dead lanes per kernel call.
+        // 0.0 throughout). Tiny batches (L < W) stay unpadded — every kernel
+        // finishes a ragged row with a scalar loop that neither reads nor
+        // writes lanes past L, so sub-width batches do not pay for W-L dead
+        // lanes per kernel call.
         const std::size_t W = k_->vector_doubles;
         lanes_pad_ = L < W ? std::max<std::size_t>(1, L) : (L + W - 1) / W * W;
         const std::size_t Lp = lanes_pad_;

@@ -182,6 +182,18 @@ struct DriftTables {
     explicit DriftTables(const DriftParams& p);
 };
 
+/// True when a received sequence of length m admits no final drift after
+/// n transmitted symbols: trailing insertions need d_n <= m - n and the
+/// clamp needs d_n >= -max_drift, so every path dies once m + max_drift < n.
+/// The evidence is then exactly -infinity; with band_eps = 0 nothing is ever
+/// pruned, so the slack is exactly 0 too and the forward passes (scalar and
+/// batched) may stop at row 1 instead of sweeping until the mass dies.
+/// Banded runs keep sweeping: their slack depends on the pruned mass.
+[[nodiscard]] constexpr bool final_drift_unreachable(std::size_t n, std::size_t m,
+                                                     int max_drift) noexcept {
+    return static_cast<long long>(m) + max_drift < static_cast<long long>(n);
+}
+
 class LatticeEngine {
 public:
     /// Binds parameters, tables and a workspace to one (received, tx_len)
@@ -293,6 +305,7 @@ public:
         scale_a_[0] = 0.0;
         band_[0] = 0;
         band_[1] = 0;
+        if (!banded_ && final_drift_unreachable(n_, m_, d_max_)) return kill_from(1);
 
         const int run = p_->max_insert_run;
         for (std::size_t j = 1; j <= n_; ++j) {

@@ -45,7 +45,10 @@ std::size_t lockstep_tx_len(std::span<const DriftHmm::SymbolSpan> transmitted,
 /// exact table entry the gather would have loaded (the scalar reference
 /// select and the vector blends pick the same bits), so all paths are
 /// bit-identical. Loops run over the padded lane stride; selector pads are
-/// valid symbol 0, so pad entries stay finite.
+/// valid symbol 0, so pad entries stay finite. Each call fills `cols`
+/// consecutive drift planes of one row (BatchLatticeEngine::forward's
+/// emit_plane contract): the received rows advance by the lane stride, the
+/// transmitted row stays fixed.
 struct TxEmitPlane {
     const DriftTables* tables;
     unsigned alphabet;
@@ -55,7 +58,8 @@ struct TxEmitPlane {
     const LaneKernels* kernels;
     std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
+    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr,
+                    std::size_t cols) {
         const std::size_t L = lanes;
         const std::uint8_t* txr = tx + j * L;
         const double* tab = tables->emit_tab.data();
@@ -63,14 +67,16 @@ struct TxEmitPlane {
             const double* e0 = e01.data();
             const double* e1 = e01.data() + L;
             if (j != cached_row) {
-                kernels->select_const(e01.data(), txr, tab[0], tab[1], L);
-                kernels->select_const(e01.data() + L, txr, tab[2], tab[3], L);
+                kernels->select_const(e01.data(), txr, tab[0], tab[1], 1, L);
+                kernels->select_const(e01.data() + L, txr, tab[2], tab[3], 1, L);
                 cached_row = j;
             }
-            kernels->select_lanes(ed, rxr, e0, e1, L);
+            kernels->select_lanes(ed, rxr, e0, e1, cols, L);
         } else {
-            for (std::size_t l = 0; l < L; ++l)
-                ed[l] = tab[static_cast<std::size_t>(rxr[l]) * alphabet + txr[l]];
+            for (std::size_t c = 0; c < cols; ++c)
+                for (std::size_t l = 0; l < L; ++l)
+                    ed[c * L + l] =
+                        tab[static_cast<std::size_t>(rxr[c * L + l]) * alphabet + txr[l]];
         }
     }
 };
@@ -88,7 +94,8 @@ struct PriorEmitPlane {
     const LaneKernels* kernels;
     std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
+    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr,
+                    std::size_t cols) {
         if (j != cached_row) {
             const auto q = priors->row(j);
             for (unsigned rr = 0; rr < alphabet; ++rr) {
@@ -100,12 +107,11 @@ struct PriorEmitPlane {
             }
             cached_row = j;
         }
-        const std::size_t L = lanes;
         if (alphabet == 2) {
             // Same exact-table-entry select as TxEmitPlane.
-            kernels->select_const(ed, rxr, vals[0], vals[1], L);
+            kernels->select_const(ed, rxr, vals[0], vals[1], cols, lanes);
         } else {
-            for (std::size_t l = 0; l < L; ++l) ed[l] = vals[rxr[l]];
+            for (std::size_t i = 0; i < cols * lanes; ++i) ed[i] = vals[rxr[i]];
         }
     }
 };
@@ -126,7 +132,8 @@ struct TxEmitPlanePerLane {
     const LaneKernels* kernels;
     std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
+    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr,
+                    std::size_t cols) {
         const std::size_t L = lanes;
         const std::uint8_t* txr = tx + j * L;
         if (alphabet == 2) {
@@ -134,14 +141,16 @@ struct TxEmitPlanePerLane {
             const double* e1 = e01.data() + L;
             if (j != cached_row) {
                 kernels->select_lanes(e01.data(), txr, eng->etab_plane(0, 0),
-                                      eng->etab_plane(0, 1), L);
+                                      eng->etab_plane(0, 1), 1, L);
                 kernels->select_lanes(e01.data() + L, txr, eng->etab_plane(1, 0),
-                                      eng->etab_plane(1, 1), L);
+                                      eng->etab_plane(1, 1), 1, L);
                 cached_row = j;
             }
-            kernels->select_lanes(ed, rxr, e0, e1, L);
+            kernels->select_lanes(ed, rxr, e0, e1, cols, L);
         } else {
-            for (std::size_t l = 0; l < L; ++l) ed[l] = eng->emit_lane(l, rxr[l], txr[l]);
+            for (std::size_t c = 0; c < cols; ++c)
+                for (std::size_t l = 0; l < L; ++l)
+                    ed[c * L + l] = eng->emit_lane(l, rxr[c * L + l], txr[l]);
         }
     }
 };
@@ -159,7 +168,8 @@ struct PriorEmitPlanePerLane {
     const LaneKernels* kernels;
     std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
+    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr,
+                    std::size_t cols) {
         const std::size_t L = lanes;
         if (j != cached_row) {
             const auto q = priors->row(j);
@@ -174,10 +184,11 @@ struct PriorEmitPlanePerLane {
             cached_row = j;
         }
         if (alphabet == 2) {
-            kernels->select_lanes(ed, rxr, vals.data(), vals.data() + L, L);
+            kernels->select_lanes(ed, rxr, vals.data(), vals.data() + L, cols, L);
         } else {
-            for (std::size_t l = 0; l < L; ++l)
-                ed[l] = vals[static_cast<std::size_t>(rxr[l]) * L + l];
+            for (std::size_t c = 0; c < cols; ++c)
+                for (std::size_t l = 0; l < L; ++l)
+                    ed[c * L + l] = vals[static_cast<std::size_t>(rxr[c * L + l]) * L + l];
         }
     }
 };

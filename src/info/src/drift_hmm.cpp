@@ -558,7 +558,7 @@ util::Matrix DriftHmm::segment_likelihoods(const util::Matrix& priors,
                     tables_->emit_tab.data() + static_cast<std::size_t>(r) * m_alpha;
                 double* ebase = esc.data() + eng.idx(d) * Cp;
                 if (m_alpha == 2) {
-                    kern.select_const(ebase, selc.data(), erow[0], erow[1], Cp);
+                    kern.select_const(ebase, selc.data(), erow[0], erow[1], 1, Cp);
                 } else {
                     for (std::size_t ci = 0; ci < C; ++ci) ebase[ci] = erow[selc[ci]];
                 }

@@ -3,7 +3,8 @@
 // Advanced SIMD is baseline on AArch64 so this TU needs no extra -m flags,
 // but it is still compiled with -ffp-contract=off and uses separate
 // vmulq/vaddq (never vfmaq) so each lane performs the scalar reference's
-// exact IEEE-754 operation sequence.
+// exact IEEE-754 operation sequence. The counted kernels are plain row
+// (column) loops around one-row bodies; they do not interleave columns.
 #include "ccap/info/lattice_simd.hpp"
 
 #if defined(__aarch64__) || defined(_M_ARM64)
@@ -49,7 +50,7 @@ void k_fma_weighted(double* dst, const double* src, double dw, double tw, const 
     for (; l < L; ++l) dst[l] += src[l] * (dw + tw * e[l]);
 }
 
-void k_accumulate(double* acc, const double* src, std::size_t L) {
+void row_accumulate(double* acc, const double* src, std::size_t L) {
     std::size_t l = 0;
     for (; l + kW <= L; l += kW) {
         vst1q_f64(acc + l, vaddq_f64(vld1q_f64(acc + l), vld1q_f64(src + l)));
@@ -57,7 +58,7 @@ void k_accumulate(double* acc, const double* src, std::size_t L) {
     for (; l < L; ++l) acc[l] += src[l];
 }
 
-void k_maximum(double* acc, const double* src, std::size_t L) {
+void row_maximum(double* acc, const double* src, std::size_t L) {
     std::size_t l = 0;
     for (; l + kW <= L; l += kW) {
         vst1q_f64(acc + l, vmaxq_f64(vld1q_f64(acc + l), vld1q_f64(src + l)));
@@ -65,7 +66,7 @@ void k_maximum(double* acc, const double* src, std::size_t L) {
     for (; l < L; ++l) acc[l] = acc[l] < src[l] ? src[l] : acc[l];
 }
 
-void k_divide(double* dst, const double* norm, std::size_t L) {
+void row_divide(double* dst, const double* norm, std::size_t L) {
     std::size_t l = 0;
     for (; l + kW <= L; l += kW) {
         vst1q_f64(dst + l, vdivq_f64(vld1q_f64(dst + l), vld1q_f64(norm + l)));
@@ -73,8 +74,8 @@ void k_divide(double* dst, const double* norm, std::size_t L) {
     for (; l < L; ++l) dst[l] /= norm[l];
 }
 
-void k_select_const(double* ed, const std::uint8_t* sel, double v0, double v1,
-                    std::size_t L) {
+void row_select_const(double* ed, const std::uint8_t* sel, double v0, double v1,
+                      std::size_t L) {
     const float64x2_t v0v = vdupq_n_f64(v0);
     const float64x2_t v1v = vdupq_n_f64(v1);
     std::size_t l = 0;
@@ -84,8 +85,8 @@ void k_select_const(double* ed, const std::uint8_t* sel, double v0, double v1,
     for (; l < L; ++l) ed[l] = sel[l] ? v1 : v0;
 }
 
-void k_select_lanes(double* ed, const std::uint8_t* sel, const double* e0, const double* e1,
-                    std::size_t L) {
+void row_select_lanes(double* ed, const std::uint8_t* sel, const double* e0,
+                      const double* e1, std::size_t L) {
     std::size_t l = 0;
     for (; l + kW <= L; l += kW) {
         vst1q_f64(ed + l,
@@ -131,9 +132,9 @@ void k_fma_acc_run(double* acc, const double* src, const double* dw, const doubl
             acc[l] += src[g * L + l] * (dw[g] + tw[g] * e[g * L + l]);
 }
 
-void k_fma_dest_run(double* dst, const double* src, const double* dw, const double* tw,
-                    const double* e, const double* src_del, double w_del,
-                    std::size_t cnt, std::size_t L) {
+void col_fma_dest_run(double* dst, const double* src, const double* dw, const double* tw,
+                      const double* e, const double* src_del, double w_del, std::size_t cnt,
+                      std::size_t L) {
     const float64x2_t wdel = vdupq_n_f64(w_del);
     std::size_t l = 0;
     for (; l + kW <= L; l += kW) {
@@ -189,9 +190,9 @@ void k_fma_acc_run_pl(double* acc, const double* src, const double* dw, const do
             acc[l] += src[g * L + l] * (dw[g * L + l] + tw[g * L + l] * e[g * L + l]);
 }
 
-void k_fma_dest_run_pl(double* dst, const double* src, const double* dw, const double* tw,
-                       const double* e, const double* src_del, const double* w_del,
-                       std::size_t cnt, std::size_t L) {
+void col_fma_dest_run_pl(double* dst, const double* src, const double* dw,
+                         const double* tw, const double* e, const double* src_del,
+                         const double* w_del, std::size_t cnt, std::size_t L) {
     std::size_t l = 0;
     for (; l + kW <= L; l += kW) {
         const float64x2_t ev = vld1q_f64(e + l);  // unused garbage when cnt == 0
@@ -217,6 +218,51 @@ void k_fma_dest_run_pl(double* dst, const double* src, const double* dw, const d
         }
         if (src_del) a += src_del[l] * w_del[l];
         dst[l] = a;
+    }
+}
+
+// Counted kernels: a plain loop over rows (columns) around the one-row
+// bodies above, in the reference's row order.
+
+void k_accumulate(double* acc, const double* src, std::size_t rows, std::size_t L) {
+    for (std::size_t r = 0; r < rows; ++r) row_accumulate(acc, src + r * L, L);
+}
+
+void k_maximum(double* acc, const double* src, std::size_t rows, std::size_t L) {
+    for (std::size_t r = 0; r < rows; ++r) row_maximum(acc, src + r * L, L);
+}
+
+void k_divide(double* dst, const double* norm, std::size_t rows, std::size_t L) {
+    for (std::size_t r = 0; r < rows; ++r) row_divide(dst + r * L, norm, L);
+}
+
+void k_select_const(double* ed, const std::uint8_t* sel, double v0, double v1,
+                    std::size_t rows, std::size_t L) {
+    for (std::size_t r = 0; r < rows; ++r) row_select_const(ed + r * L, sel + r * L, v0, v1, L);
+}
+
+void k_select_lanes(double* ed, const std::uint8_t* sel, const double* e0, const double* e1,
+                    std::size_t rows, std::size_t L) {
+    for (std::size_t r = 0; r < rows; ++r) row_select_lanes(ed + r * L, sel + r * L, e0, e1, L);
+}
+
+void k_fma_dest_run(double* dst, const double* src, const double* dw, const double* tw,
+                    const double* e, const double* src_del, double w_del, std::size_t cnt,
+                    std::size_t cols, std::size_t L) {
+    for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t o = c * L;
+        col_fma_dest_run(dst + o, src + o, dw, tw, e + o, src_del ? src_del + o : nullptr,
+                         w_del, cnt, L);
+    }
+}
+
+void k_fma_dest_run_pl(double* dst, const double* src, const double* dw, const double* tw,
+                       const double* e, const double* src_del, const double* w_del,
+                       std::size_t cnt, std::size_t cols, std::size_t L) {
+    for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t o = c * L;
+        col_fma_dest_run_pl(dst + o, src + o, dw, tw, e + o, src_del ? src_del + o : nullptr,
+                            w_del, cnt, L);
     }
 }
 

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ccap/info/batch_lattice.hpp"
@@ -584,6 +586,144 @@ TEST(BatchLattice, PerLaneRejectsMismatchedStructureAndCounts) {
         EXPECT_THROW((void)log2_likelihood_batch_per_lane(two, lanes.tx_spans(),
                                                           lanes.rx_spans(), ws),
                      std::invalid_argument);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Unreachable lanes: a received length m with m + max_drift < n admits no
+// final drift, so the evidence is exactly -infinity. In exact mode such a
+// lane's slack is exactly 0 and a tile of only such lanes stops its forward
+// pass at row 1 (final_drift_unreachable); banded mode keeps sweeping. Every
+// entry point must still report what the scalar engine reports, field by
+// field, at the reachable boundary m = n - max_drift and one below it.
+// ---------------------------------------------------------------------------
+
+/// Random lanes with prescribed received lengths (symbols are arbitrary:
+/// with p_s > 0 every emission is positive).
+Lanes lanes_with_lengths(std::size_t n, const std::vector<std::size_t>& m,
+                         std::uint64_t seed) {
+    Lanes lanes;
+    Rng rng(seed);
+    for (const std::size_t ml : m) {
+        std::vector<std::uint8_t> tx(n), rx(ml);
+        for (auto& s : tx) s = static_cast<std::uint8_t>(rng.uniform_below(2));
+        for (auto& s : rx) s = static_cast<std::uint8_t>(rng.uniform_below(2));
+        lanes.tx.push_back(std::move(tx));
+        lanes.rx.push_back(std::move(rx));
+    }
+    return lanes;
+}
+
+/// Field-by-field equality with the scalar engine. `exact` is false only for
+/// a reachable lane of a banded multi-lane tile, whose shared band may keep
+/// more than its own scalar band and so sums different cells: there the
+/// batched evidence is never below the scalar one beyond rounding, as in
+/// BandedBatchKeepsPerLaneCertifiedSlack.
+void expect_same(const BandedEvidence& got, const BandedEvidence& want, bool exact,
+                 std::size_t lane) {
+    if (exact) {
+        EXPECT_EQ(got.log2_evidence, want.log2_evidence) << "lane " << lane;
+        EXPECT_EQ(got.log2_slack, want.log2_slack) << "lane " << lane;
+    } else {
+        EXPECT_GE(got.log2_evidence, want.log2_evidence - 1e-6) << "lane " << lane;
+    }
+}
+
+TEST(BatchLattice, UnreachableLanesMatchScalarEngine) {
+    constexpr std::size_t kN = 40;
+    const std::size_t edge = kN - static_cast<std::size_t>(kParams.max_drift);  // reachable
+    const std::vector<std::vector<std::size_t>> tiles = {
+        {edge - 1},                                                     // one lane
+        {edge - 1, edge - 1, 0, 3, edge - 2, edge - 1, 1, edge - 1, 5},  // all unreachable
+        {edge, edge - 1, kN, 0, edge - 1, edge, kN + 7, edge - 1, 2},    // mixed
+        {edge},                                                         // reachable edge
+    };
+    ASSERT_FALSE(final_drift_unreachable(kN, edge, kParams.max_drift));
+    ASSERT_TRUE(final_drift_unreachable(kN, edge - 1, kParams.max_drift));
+    for (const double band_eps : {0.0, 1e-12}) {
+        DriftParams params = kParams;
+        params.band_eps = band_eps;
+        const DriftHmm hmm(params);
+        Rng prior_rng(77);
+        const Matrix priors = random_priors(kN, params.alphabet, prior_rng);
+        for (std::size_t t = 0; t < tiles.size(); ++t) {
+            SCOPED_TRACE(testing::Message() << "band_eps=" << band_eps << " tile=" << t);
+            const Lanes lanes = lanes_with_lengths(kN, tiles[t], 0xBEEF + t);
+            const std::size_t B = tiles[t].size();
+            // Per-lane mode: each lane its own deletion rate.
+            std::vector<DriftParams> ps(B, params);
+            for (std::size_t b = 0; b < B; ++b)
+                ps[b].p_d = 0.08 + 0.01 * static_cast<double>(b % 4);
+            LatticeWorkspace batch_ws, scalar_ws;
+            const auto lik = hmm.log2_likelihood_batch(lanes.tx_spans(), lanes.rx_spans(),
+                                                       batch_ws);
+            const auto mar = hmm.log2_prior_marginal_batch(priors, lanes.rx_spans(), batch_ws);
+            const auto lik_pl = log2_likelihood_batch_per_lane(ps, lanes.tx_spans(),
+                                                               lanes.rx_spans(), batch_ws,
+                                                               band_eps);
+            const auto mar_pl = log2_prior_marginal_batch_per_lane(ps, priors,
+                                                                   lanes.rx_spans(), batch_ws,
+                                                                   band_eps);
+            for (std::size_t b = 0; b < B; ++b) {
+                const bool unreachable = final_drift_unreachable(kN, tiles[t][b],
+                                                                 params.max_drift);
+                const bool exact = band_eps == 0.0 || B == 1 || unreachable;
+                const DriftHmm own(ps[b]);
+                expect_same(lik[b],
+                            hmm.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws),
+                            exact, b);
+                expect_same(mar[b],
+                            hmm.log2_prior_marginal_banded(priors, lanes.rx[b], scalar_ws),
+                            exact, b);
+                expect_same(lik_pl[b],
+                            own.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws),
+                            exact, b);
+                expect_same(mar_pl[b],
+                            own.log2_prior_marginal_banded(priors, lanes.rx[b], scalar_ws),
+                            exact, b);
+                if (unreachable) {
+                    EXPECT_EQ(lik[b].log2_evidence, -std::numeric_limits<double>::infinity());
+                    if (band_eps == 0.0) {
+                        EXPECT_EQ(lik[b].log2_slack, 0.0);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// The backward consumers on a tile that stops at row 1: beta is identically
+// zero, so every posterior row falls back to its prior and every expected
+// event count stays zero at -infinity likelihood — the same outputs a full
+// sweep gives.
+TEST(BatchLattice, UnreachableTileBackwardOutputsUnchanged) {
+    constexpr std::size_t kN = 36;
+    const std::size_t short_m = kN - static_cast<std::size_t>(kParams.max_drift) - 1;
+    const Lanes lanes = lanes_with_lengths(kN, {short_m, 0, short_m - 4, 2, short_m}, 0xD00D);
+    const DriftHmm hmm(kParams);
+    Rng prior_rng(5);
+    const Matrix priors = random_priors(kN, kParams.alphabet, prior_rng);
+    LatticeWorkspace batch_ws, scalar_ws;
+    std::vector<double> ev;
+    const std::vector<Matrix> post =
+        hmm.posteriors_batch(priors, lanes.rx_spans(), batch_ws, &ev);
+    const auto events = hmm.expected_events_batch(lanes.tx_spans(), lanes.rx_spans(), batch_ws);
+    for (std::size_t b = 0; b < lanes.rx.size(); ++b) {
+        EXPECT_EQ(ev[b], -std::numeric_limits<double>::infinity()) << "lane " << b;
+        double want_ev = 0.0;
+        const Matrix want = hmm.posteriors(priors, lanes.rx[b], scalar_ws, &want_ev);
+        EXPECT_EQ(want_ev, ev[b]);
+        for (std::size_t j = 0; j < kN; ++j)
+            for (unsigned s = 0; s < kParams.alphabet; ++s) {
+                EXPECT_EQ(post[b](j, s), priors(j, s)) << "lane " << b << " pos " << j;
+                EXPECT_EQ(want(j, s), priors(j, s)) << "lane " << b << " pos " << j;
+            }
+        const DriftHmm::EventExpectations& o = events[b];
+        EXPECT_EQ(o.log2_likelihood, -std::numeric_limits<double>::infinity());
+        EXPECT_EQ(o.deletions, 0.0);
+        EXPECT_EQ(o.insertions, 0.0);
+        EXPECT_EQ(o.transmissions, 0.0);
+        EXPECT_EQ(o.substitutions, 0.0);
     }
 }
 

@@ -252,30 +252,38 @@ std::vector<std::uint64_t> bits(const std::vector<double>& v) {
     return out;
 }
 
-// Exercises every LaneKernels entry on lane counts that are NOT multiples of
-// any vector width, with buffers allocated to exactly the touched size — a
-// tail that read or wrote one lane past L would trip ASan/UBSan in the
-// sanitizer tier-1 stages and, for stores, corrupt the guard value checked
-// below. Results must be bitwise those of the scalar reference kernels:
-// compared as bit patterns, since == cannot tell -0.0 from +0.0.
+// Exercises every LaneKernels entry on lane counts 1 .. 2W+1 for the widest
+// vector W (so every path sees sub-width, exact and ragged rows), and every
+// counted kernel at row/column counts 0 .. 2K+1 for the column-interleave
+// width K, with buffers allocated to exactly the touched size — a kernel
+// that read or wrote one lane past L, or one row past its count, would trip
+// ASan in the sanitizer tier-1 stage. Results must be bitwise those of the
+// scalar reference kernels: compared as bit patterns, since == cannot tell
+// -0.0 from +0.0.
 TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
     const LaneKernels& ref = *lane_kernels_scalar();
     Rng rng(424242);
     constexpr std::size_t kRuns = 3;
+    constexpr std::size_t kMaxLanes = 2 * 8 + 1;  // 2W + 1 for AVX-512
+    constexpr std::size_t kMaxCount = 2 * 4 + 1;  // 2K + 1 for 4 interleaved columns
     auto fill = [&rng](std::size_t n) {
         std::vector<double> v(n);
         for (auto& x : v) x = 0.25 + rng.uniform();  // positive: safe divisor
         return v;
     };
+    auto fill_sel = [&rng](std::size_t n) {
+        std::vector<std::uint8_t> v(n);
+        for (auto& s : v) s = rng.bernoulli(0.5) ? 1 : 0;
+        return v;
+    };
     for (SimdPath p : available_paths()) {
         const LaneKernels& k = lane_kernels_for(p);
-        for (const std::size_t L : {1u, 2u, 3u, 5u, 6u, 7u, 9u, 11u, 13u}) {
+        for (std::size_t L = 1; L <= kMaxLanes; ++L) {
             SCOPED_TRACE(std::string("path=") + k.name + " L=" + std::to_string(L));
             const std::vector<double> src = fill(kRuns * L);
             const std::vector<double> e = fill(kRuns * L);
             const std::vector<double> norm = fill(L);
-            std::vector<std::uint8_t> sel(L);
-            for (auto& s : sel) s = rng.bernoulli(0.5) ? 1 : 0;
+            const std::vector<std::uint8_t> sel = fill_sel(L);
             std::vector<double> dw = fill(kRuns), tw = fill(kRuns);
 
             auto a = fill(kRuns * L);
@@ -288,30 +296,10 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
             ref.fma_weighted(b.data(), src.data(), dw[0], tw[0], e.data(), L);
             EXPECT_EQ(bits(a), bits(b));
 
-            k.accumulate(a.data(), src.data(), L);
-            ref.accumulate(b.data(), src.data(), L);
-            EXPECT_EQ(bits(a), bits(b));
-
-            k.maximum(a.data(), src.data(), L);
-            ref.maximum(b.data(), src.data(), L);
-            EXPECT_EQ(bits(a), bits(b));
-
-            k.divide(a.data(), norm.data(), L);
-            ref.divide(b.data(), norm.data(), L);
-            EXPECT_EQ(bits(a), bits(b));
-
-            k.select_const(a.data(), sel.data(), 0.125, 0.875, L);
-            ref.select_const(b.data(), sel.data(), 0.125, 0.875, L);
-            EXPECT_EQ(bits(a), bits(b));
-
-            k.select_lanes(a.data(), sel.data(), e.data(), src.data(), L);
-            ref.select_lanes(b.data(), sel.data(), e.data(), src.data(), L);
-            EXPECT_EQ(bits(a), bits(b));
-
             // Signed zeros: a kernel that rebuilt a scalar weight as
             // `0.0 + w` would turn -0.0 into +0.0 in these lanes.
-            k.select_const(a.data(), sel.data(), -0.0, 0.875, L);
-            ref.select_const(b.data(), sel.data(), -0.0, 0.875, L);
+            k.select_const(a.data(), sel.data(), -0.0, 0.875, 1, L);
+            ref.select_const(b.data(), sel.data(), -0.0, 0.875, 1, L);
             EXPECT_EQ(bits(a), bits(b));
             for (std::size_t l = 0; l < L; l += 2) a[l] = b[l] = -0.0;
             k.axpy(a.data(), src.data(), -0.0, L);
@@ -325,22 +313,6 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
             k.fma_acc_run(a.data(), src.data(), dw.data(), tw.data(), e.data(), kRuns, L);
             ref.fma_acc_run(b.data(), src.data(), dw.data(), tw.data(), e.data(), kRuns, L);
             EXPECT_EQ(bits(a), bits(b));
-
-            // fma_dest_run walks the weight arrays backward from the given
-            // origin: pass the last element so indices [-cnt+1, 0] stay in
-            // bounds. Cover cnt = 0 (pure-deletion only) through kRuns, with
-            // and without the src_del term.
-            for (std::size_t cnt : {std::size_t{0}, std::size_t{1}, kRuns}) {
-                for (const double* del : {static_cast<const double*>(nullptr), norm.data()}) {
-                    if (cnt == 0 && !del) continue;  // all-zero output either way
-                    std::vector<double> da(L), db(L);
-                    k.fma_dest_run(da.data(), src.data(), dw.data() + (kRuns - 1),
-                                   tw.data() + (kRuns - 1), e.data(), del, 0.375, cnt, L);
-                    ref.fma_dest_run(db.data(), src.data(), dw.data() + (kRuns - 1),
-                                     tw.data() + (kRuns - 1), e.data(), del, 0.375, cnt, L);
-                    EXPECT_EQ(bits(da), bits(db)) << "cnt=" << cnt << " del=" << (del != nullptr);
-                }
-            }
 
             // Per-lane-weight variants (the parameter-plane engine mode):
             // dw/tw are [run][lane] planes instead of per-run scalars.
@@ -356,22 +328,175 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
                                kRuns, L);
             EXPECT_EQ(bits(a), bits(b));
 
-            // fma_dest_run_pl walks the weight planes backward by whole
-            // planes from the given origin: pass the last plane so offsets
-            // [-(cnt-1)*L, 0] stay in bounds.
-            for (std::size_t cnt : {std::size_t{0}, std::size_t{1}, kRuns}) {
-                for (const double* del : {static_cast<const double*>(nullptr), norm.data()}) {
-                    if (cnt == 0 && !del) continue;  // all-zero output either way
-                    std::vector<double> da(L), db(L);
-                    k.fma_dest_run_pl(da.data(), src.data(),
-                                      dwp.data() + (kRuns - 1) * L,
-                                      twp.data() + (kRuns - 1) * L, e.data(), del,
-                                      twp.data(), cnt, L);
-                    ref.fma_dest_run_pl(db.data(), src.data(),
-                                        dwp.data() + (kRuns - 1) * L,
-                                        twp.data() + (kRuns - 1) * L, e.data(), del,
-                                        twp.data(), cnt, L);
-                    EXPECT_EQ(bits(da), bits(db)) << "pl cnt=" << cnt << " del=" << (del != nullptr);
+            // Counted kernels: `count` rows (columns) of stride L, every
+            // buffer exactly as long as the kernel may touch.
+            for (std::size_t count = 0; count <= kMaxCount; ++count) {
+                SCOPED_TRACE("count=" + std::to_string(count));
+                const std::size_t cells = count * L;
+                const std::vector<double> rows = fill(cells);
+                const std::vector<std::uint8_t> rsel = fill_sel(cells);
+
+                auto ra = fill(L);
+                auto rb = ra;
+                k.accumulate(ra.data(), rows.data(), count, L);
+                ref.accumulate(rb.data(), rows.data(), count, L);
+                EXPECT_EQ(bits(ra), bits(rb));
+
+                k.maximum(ra.data(), rows.data(), count, L);
+                ref.maximum(rb.data(), rows.data(), count, L);
+                EXPECT_EQ(bits(ra), bits(rb));
+
+                auto da = fill(cells);
+                auto db = da;
+                k.divide(da.data(), norm.data(), count, L);
+                ref.divide(db.data(), norm.data(), count, L);
+                EXPECT_EQ(bits(da), bits(db));
+
+                k.select_const(da.data(), rsel.data(), 0.125, -0.0, count, L);
+                ref.select_const(db.data(), rsel.data(), 0.125, -0.0, count, L);
+                EXPECT_EQ(bits(da), bits(db));
+
+                k.select_lanes(da.data(), rsel.data(), e.data(), src.data(), count, L);
+                ref.select_lanes(db.data(), rsel.data(), e.data(), src.data(), count, L);
+                EXPECT_EQ(bits(da), bits(db));
+
+                // fma_dest_run walks the weight arrays backward from the
+                // given origin: pass the last element so indices
+                // [-cnt+1, 0] stay in bounds. Cover cnt = 0 (pure-deletion
+                // only) through kRuns, with and without the src_del term.
+                // Column c reads source planes [c, c + cnt) and emission
+                // and deletion planes c.
+                for (std::size_t cnt : {std::size_t{0}, std::size_t{1}, kRuns}) {
+                    const std::size_t planes = count == 0 ? 0 : count - 1 + cnt;
+                    const std::vector<double> dsrc = fill(planes * L);
+                    const std::vector<double> de = fill(cells);
+                    std::vector<double> ddel = fill(cells);
+                    for (std::size_t i = 0; i < cells; i += 3) ddel[i] = -0.0;
+                    for (const bool with_del : {false, true}) {
+                        if (cnt == 0 && !with_del) continue;  // all-zero output either way
+                        const double* del = with_del ? ddel.data() : nullptr;
+                        std::vector<double> oa(cells), ob(cells);
+                        k.fma_dest_run(oa.data(), dsrc.data(), dw.data() + (kRuns - 1),
+                                       tw.data() + (kRuns - 1), de.data(), del, 0.375, cnt,
+                                       count, L);
+                        ref.fma_dest_run(ob.data(), dsrc.data(), dw.data() + (kRuns - 1),
+                                         tw.data() + (kRuns - 1), de.data(), del, 0.375, cnt,
+                                         count, L);
+                        EXPECT_EQ(bits(oa), bits(ob)) << "cnt=" << cnt << " del=" << with_del;
+
+                        // fma_dest_run_pl walks the weight planes backward
+                        // by whole planes from the given origin: pass the
+                        // last plane so offsets [-(cnt-1)*L, 0] stay in
+                        // bounds.
+                        k.fma_dest_run_pl(oa.data(), dsrc.data(), dwp.data() + (kRuns - 1) * L,
+                                          twp.data() + (kRuns - 1) * L, de.data(), del,
+                                          norm.data(), cnt, count, L);
+                        ref.fma_dest_run_pl(ob.data(), dsrc.data(),
+                                            dwp.data() + (kRuns - 1) * L,
+                                            twp.data() + (kRuns - 1) * L, de.data(), del,
+                                            norm.data(), cnt, count, L);
+                        EXPECT_EQ(bits(oa), bits(ob))
+                            << "pl cnt=" << cnt << " del=" << with_del;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// The forward pass splits each row into edge columns (single-column calls)
+// and one interior range (one counted call with interleaved accumulators).
+// Run the engine directly on a small lattice whose rows hit every shape —
+// a destination below the previous band (clo < plo, cnt = 0), the short
+// runs near plo, destinations above the previous band (d > phi, no
+// deletion source), rows with and without an interior range, and rows
+// clamped at +-max_drift — and compare every alpha cell and scale of every
+// lane with the scalar LatticeEngine, as bit patterns, on every path and in
+// both the shared-table and the per-lane-parameter modes.
+TEST(SimdDispatch, EngineRowsHitEveryColumnEdgeBitIdentical) {
+    PathGuard guard;
+    constexpr std::size_t kN = 30;
+    const DriftParams params{0.10, 0.08, 0.02, 2, 7, 4};
+    const DriftHmm hmm(params);
+    const int run = params.max_insert_run;
+    for (SimdPath p : available_paths()) {
+        ASSERT_EQ(ccap::util::force_simd_path(p), p);
+        for (const std::size_t batch : {1u, 3u, 8u, 9u, 17u}) {
+            for (const bool per_lane : {false, true}) {
+                SCOPED_TRACE(testing::Message() << "path=" << ccap::util::simd_path_name(p)
+                                                << " batch=" << batch
+                                                << " per_lane=" << per_lane);
+                MatrixLanes lanes = make_lanes(params, kN, batch, 6100 + batch);
+                // Ragged lengths: one lane cut to the reachable boundary
+                // (masked high cells), one padded long (the union window's
+                // top); make_lanes already left lane 1 empty (unreachable).
+                if (batch >= 3) lanes.rx[2].resize(kN - params.max_drift);
+                if (batch >= 8) lanes.rx[5].resize(kN + 12, 1);
+                std::vector<DriftParams> ps(batch, params);
+                for (std::size_t b = 0; b < batch; ++b)
+                    ps[b].p_d = 0.06 + 0.02 * static_cast<double>(b % 3);
+                const auto rx = spans(lanes.rx);
+                ScopedWorkspace ws;
+                BatchLatticeEngine eng = per_lane ? BatchLatticeEngine(ps, rx, kN, ws.get())
+                                                  : BatchLatticeEngine(params, hmm.tables(),
+                                                                       rx, kN, ws.get());
+                const std::size_t Lp = eng.lane_stride();
+                eng.forward(
+                    [&](double* ed, std::size_t j, const std::uint8_t* rxr, std::size_t cols) {
+                        for (std::size_t c = 0; c < cols; ++c)
+                            for (std::size_t l = 0; l < Lp; ++l) {
+                                const std::uint8_t r = rxr[c * Lp + l];
+                                const std::uint8_t s = l < batch ? lanes.tx[l][j] : 0;
+                                ed[c * Lp + l] = per_lane ? eng.emit_lane(l, r, s)
+                                                          : eng.emit(r, s);
+                            }
+                    },
+                    0.0);
+
+                // Row shapes actually swept (union band of row j-1 -> row j).
+                bool below = false, above = false, interior = false, flush = false;
+                for (std::size_t j = 1; j <= kN && eng.band_lo(j) <= eng.band_hi(j); ++j) {
+                    const int plo = eng.band_lo(j - 1), phi = eng.band_hi(j - 1);
+                    below |= eng.band_lo(j) < plo;
+                    above |= eng.band_hi(j) > phi;
+                    interior |= std::min(eng.band_hi(j), phi - 1) >=
+                                std::max(eng.band_lo(j), plo - 1 + run);
+                    flush |= eng.band_lo(j) == -params.max_drift && plo == -params.max_drift;
+                }
+                EXPECT_TRUE(below && above && interior && flush);
+
+                for (std::size_t l = 0; l < batch; ++l) {
+                    ScopedWorkspace ref_ws;
+                    const DriftHmm own(per_lane ? ps[l] : params);
+                    LatticeEngine ref(per_lane ? ps[l] : params, own.tables(), lanes.rx[l], kN,
+                                      ref_ws.get());
+                    ref.forward(
+                        [&](std::size_t j, std::uint8_t r) {
+                            return ref.emit(r, lanes.tx[l][j]);
+                        },
+                        0.0);
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(eng.evidence(l).log2_evidence),
+                              std::bit_cast<std::uint64_t>(ref.evidence().log2_evidence))
+                        << "lane " << l;
+                    // An unreachable lane's scalar pass stops at row 1 while
+                    // its batch rows run on until the mass dies; only the
+                    // evidence ({-inf, 0}) is common to both.
+                    if (final_drift_unreachable(kN, lanes.rx[l].size(), params.max_drift))
+                        continue;
+                    for (std::size_t j = 0; j <= kN; ++j) {
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(eng.alpha_scale(j, l)),
+                                  std::bit_cast<std::uint64_t>(ref.alpha_scale(j)))
+                            << "lane " << l << " row " << j;
+                        if (ref.band_lo(j) > ref.band_hi(j)) continue;  // lane dead here
+                        for (int d = eng.band_lo(j); d <= eng.band_hi(j); ++d) {
+                            const bool in = d >= ref.band_lo(j) && d <= ref.band_hi(j);
+                            const double want = in ? ref.alpha_row(j)[ref.idx(d)] : 0.0;
+                            const double got = eng.alpha_row(j)[eng.idx(d) * Lp + l];
+                            ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                                      std::bit_cast<std::uint64_t>(want))
+                                << "lane " << l << " row " << j << " drift " << d;
+                        }
+                    }
                 }
             }
         }
