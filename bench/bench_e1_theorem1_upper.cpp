@@ -12,14 +12,14 @@
 //     the side information.
 //
 // The (N, P_d) grid rows are independent (each seeds its own channel and
-// generators), so they are evaluated through the shared thread pool; the
-// serial-vs-parallel grid wall time is emitted as BENCH_e1_grid.json.
+// generators), so they are evaluated through the shared thread pool and
+// the serial-vs-parallel grid wall time is printed under the table.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "wall_timer.hpp"
 #include "ccap/core/capacity_bounds.hpp"
 #include "ccap/core/erasure_channel.hpp"
 #include "ccap/info/blahut_arimoto.hpp"
@@ -102,14 +102,7 @@ int main() {
                 "(it *is* the erasure channel), column 6 < column 3 strictly for P_d > 0.\n");
     std::printf("Grid determinism: parallel rows %s serial rows.\n",
                 rows == serial_rows ? "identical to" : "DIFFER FROM");
-
-    bench::BenchJson json("e1_grid");
-    json.field("points", static_cast<std::uint64_t>(grid.size()))
-        .field("serial_sec", serial_sec)
-        .field("parallel_sec", parallel_sec)
-        .field("speedup", parallel_sec > 0.0 ? serial_sec / parallel_sec : 0.0)
-        .field("pool_threads", static_cast<std::uint64_t>(pool.size()))
-        .field("deterministic", rows == serial_rows ? "true" : "false");
-    json.write();
+    std::printf("Grid wall time: serial %.3fs, %u-thread pool %.3fs.\n", serial_sec,
+                pool.size(), parallel_sec);
     return rows == serial_rows ? 0 : 1;
 }

@@ -14,13 +14,13 @@
 //
 // The (N, P_d) grid rows are independent 30000-symbol protocol executions;
 // they run through the shared thread pool and the serial-vs-parallel wall
-// time is emitted as BENCH_e3_grid.json.
+// time is printed under the table.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "wall_timer.hpp"
 #include "ccap/core/capacity_bounds.hpp"
 #include "ccap/core/feedback_protocols.hpp"
 #include "ccap/core/protocol_analysis.hpp"
@@ -90,15 +90,7 @@ int main() {
                 "between exact and Thm1/4, collapsing onto both as P_i -> 0.\n");
     std::printf("Grid determinism: parallel rows %s serial rows.\n",
                 rows == serial_rows ? "identical to" : "DIFFER FROM");
-
-    bench::BenchJson json("e3_grid");
-    json.field("points", static_cast<std::uint64_t>(grid.size()))
-        .field("message_symbols", static_cast<std::uint64_t>(kMessage))
-        .field("serial_sec", serial_sec)
-        .field("parallel_sec", parallel_sec)
-        .field("speedup", parallel_sec > 0.0 ? serial_sec / parallel_sec : 0.0)
-        .field("pool_threads", static_cast<std::uint64_t>(pool.size()))
-        .field("deterministic", rows == serial_rows ? "true" : "false");
-    json.write();
+    std::printf("Grid wall time: serial %.3fs, %u-thread pool %.3fs.\n", serial_sec,
+                pool.size(), parallel_sec);
     return rows == serial_rows ? 0 : 1;
 }

@@ -8,13 +8,14 @@
 // Second half: the deterministic-parallelism benchmark for the repo's
 // hottest kernel, the drift-lattice Monte-Carlo MI estimator. The same
 // root seed runs with threads=1 and threads=hardware; the estimates must
-// be bit-identical and the wall-clock ratio is the speedup recorded in
-// BENCH_mc_parallel.json.
+// be bit-identical, and the wall-clock ratio is printed as the speedup.
 
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
-#include "bench_json.hpp"
+#include "wall_timer.hpp"
 #include "ccap/core/capacity_bounds.hpp"
 #include "ccap/core/feedback_protocols.hpp"
 #include "ccap/info/deletion_bounds.hpp"
@@ -76,7 +77,7 @@ int main() {
                 "wider symbols amortize the synchronization overhead, which is the\n"
                 "operational content of the paper's convergence claim.\n");
 
-    // ---- Parallel Monte-Carlo MI benchmark (BENCH_mc_parallel.json) ----
+    // ---- Parallel Monte-Carlo MI benchmark ----
     info::DriftParams dp;
     dp.p_d = 0.05;
     dp.p_i = 0.05;
@@ -108,19 +109,5 @@ int main() {
                 parallel_sec > 0.0 ? serial_sec / parallel_sec : 0.0,
                 identical ? "bit-identical" : "MISMATCH");
 
-    bench::BenchJson json("mc_parallel");
-    json.field("p_d", dp.p_d)
-        .field("p_i", dp.p_i)
-        .field("block_len", static_cast<std::uint64_t>(opts.block_len))
-        .field("blocks", static_cast<std::uint64_t>(opts.num_blocks))
-        .field("hardware_threads", static_cast<std::uint64_t>(hw))
-        .field("batch", static_cast<std::uint64_t>(info::resolved_mc_batch(opts, dp)))
-        .field("serial_sec", serial_sec)
-        .field("parallel_sec", parallel_sec)
-        .field("speedup", parallel_sec > 0.0 ? serial_sec / parallel_sec : 0.0)
-        .field("rate", serial.rate)
-        .field("sem", serial.sem)
-        .field("bit_identical", identical ? "true" : "false");
-    json.write();
     return identical ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // X11 — batched structure-of-arrays lattice vs the scalar engine.
 //
-// The scalar LatticeEngine (X10) already removed allocations and banding
+// The scalar LatticeEngine already removed allocations and banding
 // overhead; what is left on the table is instruction-level parallelism.
 // BatchLatticeEngine advances B same-shape sequences in lockstep with
 // [drift][lane] rows, computing the per-row window and transition weights
@@ -18,9 +18,7 @@
 // An end-to-end iid Monte-Carlo timing (McOptions::batch 1 vs auto) closes
 // the loop on the estimator the batch engine was built for.
 //
-// Emits BENCH_JSON and persists BENCH_batch_lattice.json (gated by
-// scripts/bench_compare.py); `--smoke` writes BENCH_batch_lattice_smoke.json
-// so ctest runs never clobber the checked-in full-size baseline.
+// `--smoke` runs tiny sizes (the ctest smoke test); the gates hold at both.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -29,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "wall_timer.hpp"
 #include "ccap/info/batch_lattice.hpp"
 #include "ccap/info/deletion_bounds.hpp"
 #include "ccap/info/drift_hmm.hpp"
@@ -117,18 +115,12 @@ int main(int argc, char** argv) {
     const std::size_t num_pairs = smoke ? 8 : 32;
     const double banded_eps = 1e-10;
 
-    ccap::bench::BenchJson json(smoke ? "batch_lattice_smoke" : "batch_lattice");
-    json.field("p_d", base.p_d).field("p_i", base.p_i).field("p_s", base.p_s);
-    json.field("band_eps", banded_eps);
-    json.field("batch", static_cast<std::uint64_t>(batches.back()));
-
     std::printf("X11: batched SoA lattice — lockstep lanes vs scalar sweeps\n");
     std::printf("%8s %8s %6s %14s %14s %10s %10s\n", "n", "drift", "B", "scalar ns/sym",
                 "batch ns/sym", "speedup", "identical");
 
     bool all_identical = true;
     bool all_certified = true;
-    double best_speedup_b8plus = 0.0;
     for (const Config& cfg : grid) {
         DriftParams params = base;
         params.max_drift = cfg.max_drift;
@@ -153,10 +145,6 @@ int main(int argc, char** argv) {
             for (const Pair& p : pairs) acc += hmm.log2_likelihood(p.tx, p.rx, ws);
             return acc;
         });
-
-        const std::string cfg_tag =
-            "_n" + std::to_string(cfg.n) + "_d" + std::to_string(cfg.max_drift);
-        json.field("scalar_ns_sym" + cfg_tag, scalar_ns);
 
         for (const std::size_t batch : batches) {
             const Tiles tiles = make_tiles(pairs, batch);
@@ -188,13 +176,9 @@ int main(int argc, char** argv) {
                 }
                 return acc;
             });
-            const double speedup = scalar_ns / batch_ns;
-            if (batch >= 8) best_speedup_b8plus = std::max(best_speedup_b8plus, speedup);
             std::printf("%8zu %8d %6zu %14.1f %14.1f %9.2fx %10s\n", cfg.n, cfg.max_drift,
-                        batch, scalar_ns, batch_ns, speedup, identical ? "yes" : "NO");
-            const std::string tag = cfg_tag + "_b" + std::to_string(batch);
-            json.field("batch_ns_sym" + tag, batch_ns);
-            json.field("speedup" + tag, speedup);
+                        batch, scalar_ns, batch_ns, scalar_ns / batch_ns,
+                        identical ? "yes" : "NO");
         }
     }
 
@@ -236,13 +220,10 @@ int main(int argc, char** argv) {
         ccap::util::force_simd_path(ccap::util::SimdPath::scalar);
         const double scalar_kernel_ns = time_batch();
         ccap::util::force_simd_path(active);
-        const double kernel_speedup = scalar_kernel_ns / simd_ns;
         std::printf("  SIMD dispatch (n=%zu, B=%zu): scalar-kernel %.1f ns/sym, "
                     "%s %.1f ns/sym (%.2fx)\n",
-                    cfg.n, batch, scalar_kernel_ns, active_name, simd_ns, kernel_speedup);
-        json.field("simd_scalar_kernel_ns_sym", scalar_kernel_ns);
-        json.field("simd_kernel_ns_sym", simd_ns);
-        json.field("simd_kernel_speedup", kernel_speedup);
+                    cfg.n, batch, scalar_kernel_ns, active_name, simd_ns,
+                    scalar_kernel_ns / simd_ns);
     }
 
     // End-to-end Monte-Carlo: the estimator the batch engine was built for
@@ -273,16 +254,7 @@ int main(int argc, char** argv) {
                     "batch=%zu %.1f ns/sym (%.2fx)\n",
                     block_len, num_blocks, mc_scalar_ns, auto_batch, mc_auto_ns,
                     mc_scalar_ns / mc_auto_ns);
-        json.field("mc_scalar_ns_sym", mc_scalar_ns);
-        json.field("mc_batch_ns_sym", mc_auto_ns);
-        json.field("mc_auto_batch", static_cast<std::uint64_t>(auto_batch));
-        json.field("mc_speedup", mc_scalar_ns / mc_auto_ns);
     }
-
-    json.field("bit_identical", all_identical ? 1 : 0);
-    json.field("error_certified", all_certified ? 1 : 0);
-    if (!smoke) json.field("headline_speedup_b8plus", best_speedup_b8plus);
-    json.write();
 
     if (!all_identical) {
         std::fprintf(stderr,

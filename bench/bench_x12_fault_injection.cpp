@@ -10,19 +10,14 @@
 //   * counter / go-back-N throughput under the named fault profiles
 //     (storms, drift, stuck-at) relative to a fault-free run.
 //
-// Emits BENCH_JSON and persists BENCH_fault_injection.json (gated by
-// scripts/bench_compare.py); `--smoke` writes
-// BENCH_fault_injection_smoke.json so ctest runs never clobber the
-// checked-in baseline. The record stamps "fault_profile" with the profile
-// suite it was measured under — bench_compare.py refuses to diff records
-// whose profile suites differ, so a baseline from one fault mix is never
-// judged against a run of another.
+// Exits 1 unless every run keeps its reliability contract. `--smoke` runs
+// 2000-symbol messages (the ctest smoke test); the per-profile contracts
+// are also gtests (HardenedProtocols.FaultProfilesKeepTheirContract).
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "ccap/core/deletion_insertion_channel.hpp"
 #include "ccap/core/fault_injection.hpp"
 #include "ccap/core/feedback_protocols.hpp"
@@ -50,13 +45,6 @@ int main(int argc, char** argv) {
     const std::size_t kMessage = smoke ? 2000 : 20000;
     const core::DiChannelParams p{0.2, 0.0, 0.0, 1};
 
-    ccap::bench::BenchJson json(smoke ? "fault_injection_smoke" : "fault_injection");
-    // Identity stamp: which fault-profile suite these numbers were measured
-    // under. bench_compare.py treats a mismatch as incomparable, not as a
-    // regression.
-    json.field("fault_profile", std::string("none+storms+drift+stuck"));
-    json.field("p_d", p.p_d);
-
     std::size_t runs = 0, reliable_runs = 0;
 
     // --- 1. Stop-and-wait rate vs ACK loss, against the closed form -------
@@ -82,11 +70,6 @@ int main(int argc, char** argv) {
                     run.reliable ? "yes" : "NO");
         ++runs;
         reliable_runs += run.reliable ? 1 : 0;
-        char key[48];
-        std::snprintf(key, sizeof key, "saw_rate_loss%02.0f", loss * 100.0);
-        json.field(key, run.measured_info_rate(1));
-        std::snprintf(key, sizeof key, "saw_pred_loss%02.0f", loss * 100.0);
-        json.field(key, predicted);
     }
 
     // --- 2. Counter / go-back-N throughput under the named profiles -------
@@ -145,15 +128,7 @@ int main(int argc, char** argv) {
                              ? 1
                              : 0;
         reliable_runs += ctr.received.size() == msg.size() ? 1 : 0;
-        json.field(std::string("gbn_rate_") + label, gbn.measured_info_rate(1));
-        json.field(std::string("ctr_rate_") + label, ctr.measured_info_rate(1));
     }
-
-    // Fraction of runs that met their reliability contract: a robustness
-    // metric (higher is better), gated by bench_compare.py.
-    json.field("reliability_rate",
-               static_cast<double>(reliable_runs) / static_cast<double>(runs));
-    json.write();
 
     std::printf("\nShape check: the stop-and-wait column tracks the closed form at\n"
                 "every loss rate (no cliff), and every deletion-style profile leaves\n"

@@ -21,17 +21,15 @@
 //   * the whole adaptive sweep (values AND spent counts) bit-identical at
 //     1 vs 8 worker threads,
 //   * target_sem = 0 bit-identical to the historical fixed behavior.
-//
-// Emits BENCH_JSON and persists BENCH_adaptive_mc.json (gated by
-// scripts/bench_compare.py); `--smoke` writes BENCH_adaptive_mc_smoke.json
-// so ctest runs never clobber the checked-in full-size baseline.
+// Full-size runs must also save >= 3x blocks with every point converged.
+// `--smoke` runs a 6-point grid (the ctest smoke test).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "wall_timer.hpp"
 #include "ccap/info/deletion_bounds.hpp"
 #include "ccap/util/rng.hpp"
 
@@ -49,11 +47,14 @@ bool bit_identical(const MiEstimate& a, const MiEstimate& b) {
 }
 
 std::vector<CapacityPoint> make_grid(bool smoke) {
-    // A capacity sweep spans both regimes: mid-deletion rows where the MI
-    // samples are noisy (hundreds of blocks to pin down), and the
-    // capacity-zero plateau past the deletion threshold where every block
-    // returns the same clamped value and the pilot round already suffices —
-    // the heterogeneity the allocator exists to exploit.
+    // Mid-deletion rows have noisy MI samples (hundreds of blocks to pin
+    // down); rows whose mean drift leaves the max_drift = 8 window (P_d 0.3
+    // drifts 14.4 over 48 symbols) return the same clamped 0 from every
+    // block and stop at the pilot round. Those zeros are drift-window
+    // truncation (THEORY §6), not zero capacity: the deletion channel's
+    // capacity is positive for every P_d < 1. The P_d 0.2 rows and the
+    // P_d 0.3 rows with P_i > 0 are truncated too, though not to 0. Either
+    // way the spread is the heterogeneity the allocator exists to exploit.
     const std::vector<double> pds =
         smoke ? std::vector<double>{0.02, 0.2, 0.4}
               : std::vector<double>{0.02, 0.1, 0.2, 0.3, 0.4, 0.5};
@@ -79,13 +80,6 @@ int main(int argc, char** argv) {
     adaptive.num_blocks = smoke ? 4 : 8;  // round size in adaptive mode
     adaptive.target_sem = smoke ? 0.02 : 0.008;
     adaptive.max_blocks = smoke ? 64 : 1024;
-
-    ccap::bench::BenchJson json(smoke ? "adaptive_mc_smoke" : "adaptive_mc");
-    json.field("points", static_cast<std::uint64_t>(pts.size()));
-    json.field("block_len", static_cast<std::uint64_t>(adaptive.block_len));
-    json.field("round", static_cast<std::uint64_t>(ccap::info::mc_round_blocks(adaptive)));
-    json.field("target_sem", adaptive.target_sem);
-    json.field("max_blocks", static_cast<std::uint64_t>(adaptive.max_blocks));
 
     std::printf("X14: adaptive-precision MC — variance-aware early stopping\n");
     std::printf("  %zu points, round %zu x %zu symbols, target sem %.4g, cap %zu\n",
@@ -145,9 +139,6 @@ int main(int argc, char** argv) {
     std::printf("  identity: standalone %s, threads %s, fixed-mode %s\n",
                 standalone_identical ? "yes" : "NO", thread_identical ? "yes" : "NO",
                 fixed_mode_identical ? "yes" : "NO");
-    json.field("standalone_identical", standalone_identical ? 1 : 0);
-    json.field("thread_identical", thread_identical ? 1 : 0);
-    json.field("fixed_mode_identical", fixed_mode_identical ? 1 : 0);
 
     // ---- Blocks saved at matched precision --------------------------------
     std::size_t adaptive_total = 0, n_fixed = 0;
@@ -186,15 +177,6 @@ int main(int argc, char** argv) {
     if (fixed_out.size() != adaptive_again.size()) std::printf("# impossible\n");
     std::printf("  fixed %zu-block sweep: %.3fs; adaptive sweep: %.3fs (%.2fx)\n", n_fixed,
                 fixed_sec, adaptive_sec, fixed_sec / adaptive_sec);
-
-    json.field("blocks_adaptive_total", static_cast<std::uint64_t>(adaptive_total));
-    json.field("blocks_fixed_total", static_cast<std::uint64_t>(fixed_total));
-    json.field("n_fixed", static_cast<std::uint64_t>(n_fixed));
-    json.field("blocks_saved", blocks_saved);
-    json.field("fixed_seconds", fixed_sec);
-    json.field("adaptive_seconds", adaptive_sec);
-    json.field("all_converged", all_converged ? 1 : 0);
-    json.write();
 
     if (!standalone_identical || !thread_identical || !fixed_mode_identical) {
         std::fprintf(stderr, "FAIL: adaptive MC identity gates violated\n");

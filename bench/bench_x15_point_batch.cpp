@@ -29,9 +29,8 @@
 // pays the engine setup per point, while the CRN tile packs
 // blocks x points lanes into full vectors and pays the setup per tile.
 //
-// Emits BENCH_JSON and persists BENCH_point_batch.json (gated by
-// scripts/bench_compare.py); `--smoke` writes BENCH_point_batch_smoke.json
-// so ctest runs never clobber the checked-in full-size baseline.
+// `--smoke` runs a 4-point grid (the ctest smoke test) and checks only the
+// identity gates.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -39,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "wall_timer.hpp"
 #include "ccap/info/deletion_bounds.hpp"
 #include "ccap/util/rng.hpp"
 
@@ -99,13 +98,6 @@ int main(int argc, char** argv) {
     crn.point_tile = ccap::info::kMcPointTileAuto;
     const std::size_t tile = ccap::info::resolved_point_tile(crn, pts.size());
 
-    ccap::bench::BenchJson json(smoke ? "point_batch_smoke" : "point_batch");
-    json.field("points", static_cast<std::uint64_t>(pts.size()));
-    json.field("block_len", static_cast<std::uint64_t>(indep.block_len));
-    json.field("mc_blocks", static_cast<std::uint64_t>(indep.num_blocks));
-    json.field("point_tile", static_cast<std::uint64_t>(tile));
-    json.field("crn", 1);
-
     std::printf("X15: CRN point-tiled sweep — whole grid tile per lattice pass\n");
     std::printf("  %zu points, %zu x %zu symbols, tile %zu points/sweep\n", pts.size(),
                 indep.num_blocks, indep.block_len, tile);
@@ -145,10 +137,7 @@ int main(int argc, char** argv) {
     }
     std::printf("  identity: independent-vs-per-point %s, crn threads x batch x tile %s\n",
                 indep_identical ? "yes" : "NO", crn_invariant ? "yes" : "NO");
-    json.field("indep_identical", indep_identical ? 1 : 0);
-    json.field("crn_invariant", crn_invariant ? 1 : 0);
     if (!indep_identical || !crn_invariant) {
-        json.write();
         std::fprintf(stderr, "FAIL: CRN point-tile identity gates violated\n");
         return 1;
     }
@@ -158,12 +147,9 @@ int main(int argc, char** argv) {
     // preserves each point's marginal sample law, so worst-point SEM is
     // matched by construction; the recorded SEMs document that.
     double worst_sem_indep = 0.0, worst_sem_crn = 0.0;
-    std::size_t blocks_indep = 0, blocks_crn = 0;
     for (std::size_t i = 0; i < pts.size(); ++i) {
         worst_sem_indep = std::max(worst_sem_indep, out_indep[i].sem);
         worst_sem_crn = std::max(worst_sem_crn, out_crn[i].sem);
-        blocks_indep += out_indep[i].blocks;
-        blocks_crn += out_crn[i].blocks;
     }
 
     std::vector<MiEstimate> indep_again, crn_again;
@@ -197,16 +183,6 @@ int main(int argc, char** argv) {
     const double sem_ratio = sum_indep > 0.0 ? sum_crn / sum_indep : 1.0;
     std::printf("  adjacent-difference sem: independent %.4g, crn %.4g (ratio %.3f)\n",
                 sum_indep, sum_crn, sem_ratio);
-
-    json.field("indep_seconds", indep_sec);
-    json.field("crn_seconds", crn_sec);
-    json.field("sweep_speedup", speedup);
-    json.field("worst_sem_indep", worst_sem_indep);
-    json.field("worst_sem_crn", worst_sem_crn);
-    json.field("blocks_indep_total", static_cast<std::uint64_t>(blocks_indep));
-    json.field("blocks_crn_total", static_cast<std::uint64_t>(blocks_crn));
-    json.field("adjacent_sem_ratio", sem_ratio);
-    json.write();
 
     if (!smoke && speedup < 1.5) {
         std::fprintf(stderr, "FAIL: crn sweep speedup %.2fx < 1.5x at matched precision\n",

@@ -36,8 +36,8 @@ namespace ccap::core {
 /// 2, ... Every component is optional; a default-constructed profile is the
 /// null profile (no faults).
 struct FaultProfile {
-    /// Stamped into bench records so baselines from different profiles are
-    /// never compared against each other (scripts/bench_compare.py).
+    /// Preset label ("none", "storms", "drift", "stuck", or "cli" for
+    /// hand-set knobs), printed by the harnesses and perfbench's config.
     std::string name = "none";
 
     // --- Burst deletion storms -------------------------------------------

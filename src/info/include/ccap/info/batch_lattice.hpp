@@ -50,8 +50,9 @@
 //     is accumulated per lane. Each lane therefore keeps its own certified
 //     slack bound (banded <= exact <= banded + slack, THEORY.md section
 //     11); the shared band is the union of what per-lane banding would
-//     keep, so batched banded evidence is never below the scalar banded
-//     evidence, and the bound is never looser per lane.
+//     keep, so batched banded evidence is not below the scalar banded
+//     evidence up to rounding (the two differ in the last bits), and the
+//     bound is never looser per lane.
 //
 // DriftHmm's *_batch entry points (drift_hmm.hpp, implemented in
 // batch_lattice.cpp) wrap this engine; deletion_bounds.cpp feeds each

@@ -72,8 +72,11 @@ struct McOptions {
     unsigned threads = 0;         ///< worker cap; 0 = hardware concurrency, 1 = serial
     /// When > 0, overrides DriftParams::band_eps for the lattice passes:
     /// adaptive-band pruning with a certified slack (lattice_engine.hpp).
-    /// Banding only lowers per-block evidences, so the estimate keeps its
-    /// lower-bound semantics. 0 keeps the params' own setting.
+    /// Each per-block evidence is certified to within its slack, but the
+    /// rate is a difference of two evidences and can rise, so a banded
+    /// estimate is not a lower bound (P_d 0.1, P_i 0.2, 256 symbols: exact
+    /// 0.194, 1e-12 gives 0.207, 1e-6 gives 0.329). 0 keeps the params'
+    /// own setting.
     double band_eps = 0.0;
     /// Lattice lanes advanced in lockstep per Monte-Carlo tile
     /// (batch_lattice.hpp): each thread's blocks are fed through the
@@ -83,7 +86,8 @@ struct McOptions {
     /// tile, and batched lanes are bit-identical to scalar sweeps at
     /// band_eps = 0, so the estimate does not depend on this knob (with
     /// band_eps > 0 the shared union band may prune slightly less than
-    /// scalar banding — never more, so the lower bound stands).
+    /// scalar banding — never more, so each lane's evidence stays within
+    /// its certified slack).
     std::size_t batch = 0;
     /// Adaptive precision. 0 (default) = fixed mode: exactly num_blocks
     /// blocks run, bit-identical to the historical behavior. > 0: blocks

@@ -51,8 +51,9 @@ enum class SimdPath : int { scalar = 0, neon = 1, avx2 = 2, avx512 = 3 };
 /// Widest available path on this machine/build.
 [[nodiscard]] SimdPath best_simd_path() noexcept;
 
-/// Human-readable summary of the detected features, stamped into BENCH_JSON
-/// records: e.g. "avx512f+avx2", "avx2", "neon", "baseline".
+/// Human-readable summary of the detected features, printed by the CLI and
+/// stamped into perfbench records: e.g. "avx512f+avx2", "avx2", "neon",
+/// "baseline".
 [[nodiscard]] std::string cpu_feature_string();
 
 /// The path the dispatched kernels run. First call resolves it: CCAP_SIMD

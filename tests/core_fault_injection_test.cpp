@@ -370,6 +370,49 @@ TEST(HardenedProtocols, StormsDegradeRateNotReliability) {
     EXPECT_GT(run.rate_gap(clean, 1), 0.0);
 }
 
+// The bench_x12_fault_injection contract, at its smoke size: over a
+// 10%-lossy link, go-back-N stays reliable under every deletion-style
+// profile, and under stuck-at (which corrupts symbols outright, with no FEC)
+// completes with errors below a quarter of the message; the counter protocol
+// completes under every profile.
+TEST(HardenedProtocols, FaultProfilesKeepTheirContract) {
+    const DiChannelParams p{0.2, 0.0, 0.0, 1};
+    const std::size_t n = 2000;
+    FeedbackLinkParams lp;
+    lp.p_loss = 0.1;
+    lp.delay = 2;
+    FeedbackLinkParams lp_ctr = lp;
+    lp_ctr.delay = 0;
+    HardenedOptions opt;
+    opt.timeout = 8;
+    const std::vector<std::tuple<const char*, FaultProfile, bool>> profiles = {
+        {"none", FaultProfile{}, true},
+        {"storms", FaultProfile::storms(500, 50), true},
+        {"drift", FaultProfile::drifting(0.3, 400), true},
+        {"stuck", FaultProfile::stuck_at(300, 30, 0), false},
+    };
+    for (const auto& [label, profile, deletion_style] : profiles) {
+        const auto msg = message(n, 1, 0xF12C);
+
+        DeletionInsertionChannel inner_g(p, 0xF12D);
+        FaultyChannel ch_g(inner_g, profile, 0xF12E);
+        FeedbackLink link_g(lp, 0xF12F);
+        const ProtocolRun gbn = run_hardened_go_back_n(ch_g, msg, link_g, opt);
+        if (deletion_style) {
+            EXPECT_TRUE(gbn.reliable) << label;
+        } else {
+            EXPECT_EQ(gbn.received.size(), n) << label;
+            EXPECT_LT(gbn.symbol_errors, n / 4) << label;
+        }
+
+        DeletionInsertionChannel inner_c(p, 0xF130);
+        FaultyChannel ch_c(inner_c, profile, 0xF131);
+        FeedbackLink link_c(lp_ctr, 0xF132);
+        const ProtocolRun ctr = run_hardened_counter_protocol(ch_c, msg, link_c, opt);
+        EXPECT_EQ(ctr.received.size(), n) << label;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency: independent fault-injected runs on a shared pool must be
 // bit-identical to their serial counterparts (exercised under TSan in

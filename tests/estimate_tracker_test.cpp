@@ -1,9 +1,10 @@
 // Online capacity tracker (estimate/capacity_tracker.hpp): null-profile
 // streams reproduce the offline batch estimate bit for bit, outputs are
 // invariant in the prefetch thread count (the TSan-gated TrackerParallel
-// suite), checkpoints resume bit-identically, drift triggers resync, AIMD
-// backs the served rate off, and pathological inputs degrade explicitly
-// without ever leaking a NaN.
+// suite), checkpoints resume bit-identically, drift triggers resync, the
+// tracker beats the one-shot batch fit under drift, AIMD backs the served
+// rate off, and pathological inputs degrade explicitly without ever leaking
+// a NaN.
 
 #include <gtest/gtest.h>
 
@@ -265,6 +266,62 @@ TEST(TrackerTest, DriftTriggersResyncAndRepins) {
     }
     EXPECT_TRUE(saw_drift_or_resync);
     EXPECT_GT(resyncs, 0U);
+}
+
+// The bench_x16_tracker headline at its full shape: under cosine deletion
+// drift the tracker's per-window capacity must sit closer to the truth than
+// the one batch fit of the whole trace. Truth per window is the cache node
+// nearest (P_d_eff, 0), where the drift adds A (1 - cos(2 pi t / T)) / 2 of
+// delivery drops at use t.
+TEST(TrackerTest, BeatsBatchEstimateUnderDrift) {
+    TrackerConfig tc;
+    tc.window_len = 2000;
+    tc.trend_window = 4;
+    tc.drift_slope = 0.005;
+    tc.drift_sustain = 2;
+    tc.cache.grid.pd_step = 0.02;
+    tc.cache.grid.pi_step = 0.02;
+    tc.cache.base.alphabet = 2;
+    tc.cache.mc.block_len = 48;
+    tc.cache.mc.num_blocks = 8;
+    const double nominal_pd = 0.1;
+    const FaultProfile drift = FaultProfile::drifting(0.3, 12000);
+
+    CapacityTracker tracker(tc);
+    FaultStreamSource src(source_config(nominal_pd, drift, tc.window_len, 40, 0x16));
+    std::vector<TrackerUpdate> updates;
+    std::vector<double> pd_eff;
+    std::vector<std::uint32_t> all_sent, all_received;
+    std::uint64_t uses = 0;
+    while (auto c = src.next()) {
+        updates.push_back(tracker.ingest(*c));
+        double delta = 0.0;
+        for (std::uint64_t t = uses; t < uses + c->channel_uses; ++t) {
+            const double phase = 2.0 * M_PI * static_cast<double>(t % drift.drift_period) /
+                                 static_cast<double>(drift.drift_period);
+            delta += drift.drift_amplitude * (1.0 - std::cos(phase)) / 2.0;
+        }
+        if (c->channel_uses > 0) delta /= static_cast<double>(c->channel_uses);
+        pd_eff.push_back(nominal_pd + (1.0 - nominal_pd) * delta);
+        uses += c->channel_uses;
+        all_sent.insert(all_sent.end(), c->sent.begin(), c->sent.end());
+        all_received.insert(all_received.end(), c->received.begin(), c->received.end());
+    }
+    ASSERT_EQ(updates.size(), 40U);
+
+    const ccap::estimate::ParamEstimate batch =
+        ccap::estimate::estimate_params(all_sent, all_received);
+    const double batch_cap =
+        tracker.cache().at(tracker.cache().quantize(batch.p_d.value, batch.p_i.value)).rate;
+    // Both error sums run over the same 40 windows, so comparing them
+    // compares the mean absolute errors.
+    double tracker_err = 0.0, batch_err = 0.0;
+    for (std::size_t w = 0; w < updates.size(); ++w) {
+        const double truth = tracker.cache().at(tracker.cache().quantize(pd_eff[w], 0.0)).rate;
+        tracker_err += std::fabs(updates[w].capacity - truth);
+        batch_err += std::fabs(batch_cap - truth);
+    }
+    EXPECT_LT(tracker_err, batch_err);
 }
 
 TEST(TrackerTest, AimdRampsUpAndBacksOffMultiplicatively) {

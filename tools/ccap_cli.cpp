@@ -763,8 +763,8 @@ void usage() {
         "            --resume FILE --status-every N --verbose]\n"
         "--threads 0 (default) uses every hardware thread; 1 runs serially.\n"
         "Monte-Carlo results are bit-identical for every --threads value.\n"
-        "--band-eps > 0 prunes the drift lattice adaptively (certified slack;\n"
-        "results are a slightly looser lower bound); 0 is exact.\n"
+        "--band-eps > 0 prunes the drift lattice adaptively (each evidence is\n"
+        "certified to within its slack, but the rate can rise); 0 is exact.\n"
         "--mc-batch B advances B Monte-Carlo blocks in lockstep through the\n"
         "batched lattice (0 = auto, 1 = scalar); the estimate is unchanged.\n"
         "--mc-point-tile G evaluates G grid points per lattice sweep from one\n"
