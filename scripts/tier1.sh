@@ -11,12 +11,12 @@
 #                                         # slower, catches the arena
 #                                         # over/under-reads the SoA lattice
 #                                         # layouts, the counted lane kernels,
-#                                         # the bit-parallel alignment columns
-#                                         # and the contention tick ring are
+#                                         # the banded alignment columns and
+#                                         # the contention tick ring are
 #                                         # prone to)
 #
 # The UBSan stage runs -fsanitize=undefined plus float-cast-overflow; it
-# catches the overflow/shift bugs the backoff, fault-schedule, bit-parallel
+# catches the overflow/shift bugs the backoff, fault-schedule, banded
 # alignment, geometric sampling and tick-ring arithmetic could hide.
 #
 # Timing is not gated here: the bench harnesses' identity gates run as

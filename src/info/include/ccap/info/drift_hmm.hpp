@@ -19,8 +19,11 @@
 //
 // Per-symbol insertion runs are truncated at max_insert_run (probability
 // mass P_i^{run} is geometrically negligible past ~10); drift is clamped to
-// [-max_drift, +max_drift]. Both truncations only *lower* reported
-// likelihoods, preserving the lower-bound semantics of the MI estimators.
+// [-max_drift, +max_drift]. Both truncations only discard paths, so each
+// likelihood they report can only go down. The Monte-Carlo MI rate is a
+// difference of two such evidences, log2 P(rx|tx) - log2 P(rx), and
+// truncation lowers both, so the rate can move either way: it is not a
+// lower bound. A block whose truncated evidence is non-finite scores 0.
 #pragma once
 
 #include <cstdint>

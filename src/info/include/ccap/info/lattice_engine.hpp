@@ -30,8 +30,8 @@
 //       log2_evidence_exact - log2_evidence_banded <= log2_slack()
 //
 //     always holds (docs/THEORY.md section 11 has the derivation). Banding
-//     only ever *lowers* the reported evidence, preserving the lower-bound
-//     semantics of the Monte-Carlo MI estimators.
+//     only ever *lowers* the reported evidence; a Monte-Carlo MI rate is a
+//     difference of two evidences, so banding can move it either way.
 //
 // bcjr.cpp, watermark.cpp and alignment.cpp reuse LatticeWorkspace for
 // their own trellises so the repo has one flat-row DP idiom.

@@ -247,8 +247,9 @@ struct IidBlockSampler {
                 const double log_marg =
                     hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence;
                 // Non-finite = the block fell outside the lattice
-                // truncation; score it zero information, preserving the
-                // lower-bound semantics.
+                // truncation; score it zero information. Truncation
+                // lowers both evidences, so neither this score nor the
+                // rate is a bound (THEORY.md §6).
                 out[i] = (std::isfinite(log_cond) && std::isfinite(log_marg))
                              ? (log_cond - log_marg) / static_cast<double>(block_len)
                              : 0.0;

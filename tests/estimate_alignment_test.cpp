@@ -7,9 +7,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "ccap/core/fault_injection.hpp"
+#include "ccap/core/stream_source.hpp"
 #include "ccap/util/rng.hpp"
 
 namespace {
@@ -211,6 +215,148 @@ TEST(AlignmentKernel, MatchesQuadraticReferencePastTheLeaseCap) {
         ASSERT_NO_FATAL_FAILURE(expect_matches_reference(small_block, small_window))
             << "small case " << k;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Cases where the band binds. An attempt at threshold k computes only the
+// words of each column that a path of cost <= k can cross, starting at
+// k = max(64, n - m) end-free and max(64, |n - m|) globally, and raises k
+// until the distance fits. The cases above mostly have bands that span
+// every word; these have bands of a few words out of 4..32, edges inside
+// words, failed attempts and bands that widen to (nearly) every word.
+
+/// First end-free threshold for a block of n symbols against m.
+std::size_t end_free_threshold(std::size_t n, std::size_t m) {
+    return std::max<std::size_t>(64, n > m ? n - m : 0);
+}
+
+/// The live stream `ccap track` and perfbench `track` read: 2000-symbol
+/// windows of a binary channel at nominal P_d, under `profile`.
+ccap::core::FaultStreamSource::Config stream_config(double p_d, double p_i,
+                                                    const std::string& profile,
+                                                    std::uint64_t windows,
+                                                    std::uint64_t seed) {
+    ccap::core::FaultStreamSource::Config sc;
+    sc.params.p_d = p_d;
+    sc.params.p_i = p_i;
+    sc.params.bits_per_symbol = 1;
+    if (!ccap::core::named_fault_profile(profile, sc.profile))
+        throw std::logic_error("no fault profile " + profile);
+    sc.window_len = 2000;
+    sc.windows = windows;
+    sc.seed = seed;
+    return sc;
+}
+
+TEST(AlignmentKernel, MatchesQuadraticReferenceOnDriftPresetWindows) {
+    // The perfbench `track` windows (drift preset, P_d 0.1, seed 1). The
+    // preset only deletes, so the distance is n - m: the first end-free
+    // attempt, rows j..j + (n - m) of column j, already holds it.
+    ccap::core::FaultStreamSource source(stream_config(0.1, 0.0, "drift", 50, 1));
+    while (const auto chunk = source.next()) {
+        const Trace& block = chunk->sent;
+        const Trace& window = chunk->received;
+        ASSERT_LT(window.size(), block.size());
+        ASSERT_EQ(align_end_free(block, window).first.distance, block.size() - window.size());
+        ASSERT_NO_FATAL_FAILURE(expect_matches_reference(block, window))
+            << "window " << chunk->index << ": " << window.size() << " received";
+    }
+}
+
+TEST(AlignmentKernel, MatchesQuadraticReferenceWhenTheThresholdRises) {
+    // P_d 0.1 with P_i 0.05: insertions push the distance past the first
+    // threshold, so the first attempt fails and a wider band follows.
+    ccap::core::FaultStreamSource source(stream_config(0.1, 0.05, "none", 8, 5));
+    while (const auto chunk = source.next()) {
+        const Trace& block = chunk->sent;
+        const Trace& window = chunk->received;
+        ASSERT_GT(align_end_free(block, window).first.distance,
+                  end_free_threshold(block.size(), window.size()));
+        ASSERT_NO_FATAL_FAILURE(expect_matches_reference(block, window))
+            << "window " << chunk->index << ": " << window.size() << " received";
+    }
+}
+
+TEST(AlignmentKernel, MatchesQuadraticReferenceWithBandEdgesInsideWords) {
+    // |n - m| off the word size puts both band edges inside words; a few
+    // substitutions on top make the first attempt fail by a little.
+    ccap::util::Rng rng(13);
+    for (const std::size_t n : {std::size_t{256}, std::size_t{1000}}) {
+        for (const std::size_t shift : {1, 37, 65, 100, 131, 190}) {
+            for (int variant = 0; variant < 4; ++variant) {
+                Trace block(n);
+                for (auto& s : block) s = static_cast<std::uint32_t>(rng.uniform_below(4));
+                Trace window = block;
+                if (variant < 2) {  // `shift` deletions, then substitutions
+                    for (std::size_t k = 0; k < shift; ++k)
+                        window.erase(window.begin() + static_cast<std::ptrdiff_t>(
+                                                          rng.uniform_below(window.size())));
+                    if (variant == 1)
+                        for (int k = 0; k < 5; ++k)
+                            window[rng.uniform_below(window.size())] ^= 1U;
+                } else {  // `shift` insertions, then a random tail
+                    for (std::size_t k = 0; k < shift; ++k) {
+                        const auto at =
+                            static_cast<std::ptrdiff_t>(rng.uniform_below(window.size() + 1));
+                        window.insert(window.begin() + at,
+                                      static_cast<std::uint32_t>(rng.uniform_below(4)));
+                    }
+                    if (variant == 3)
+                        for (std::size_t k = 0; k < n / 2 + 32; ++k)
+                            window.push_back(static_cast<std::uint32_t>(rng.uniform_below(4)));
+                }
+                ASSERT_NO_FATAL_FAILURE(expect_matches_reference(block, window))
+                    << "n " << n << ", shift " << shift << ", variant " << variant;
+            }
+        }
+    }
+}
+
+TEST(AlignmentKernel, MatchesQuadraticReferenceOnUnrelatedWindows) {
+    // Unrelated traces: the distance is a large share of n, so the
+    // threshold rises until the band spans most or all of every column.
+    // m = 10 against 2000 is the full DP at the first threshold.
+    ccap::util::Rng rng(14);
+    for (const std::size_t n : {std::size_t{100}, std::size_t{500}, std::size_t{2000}}) {
+        for (const std::size_t m : {std::size_t{10}, n / 2, n, n + n / 2 + 32}) {
+            for (const std::uint64_t alphabet : {2, 4, 256}) {
+                Trace block(n), window(m);
+                const auto symbol = [&] {
+                    return static_cast<std::uint32_t>(rng.uniform_below(alphabet));
+                };
+                for (auto& s : block) s = symbol();
+                for (auto& s : window) s = symbol();
+                ASSERT_NO_FATAL_FAILURE(expect_matches_reference(block, window))
+                    << "n " << n << ", m " << m << ", alphabet " << alphabet;
+            }
+        }
+    }
+}
+
+TEST(Alignment, ColumnStoreCapBoundsTheBandNotTheTrellis) {
+    // The cap applies to the banded column store. 40000 symbols against
+    // themselves with 40 substitutions is 1.6e9 trellis cells but a
+    // band of three words per column, so it aligns.
+    ccap::util::Rng rng(15);
+    Trace sent(40'000);
+    for (auto& s : sent) s = static_cast<std::uint32_t>(rng.uniform_below(4));
+    Trace received = sent;
+    for (std::size_t i = 500; i < received.size(); i += 1000) received[i] ^= 1U;
+    const Alignment a = align(sent, received);
+    EXPECT_EQ(a.distance, 40U);
+    EXPECT_EQ(a.count(EditOp::substitution), 40U);
+    EXPECT_EQ(align_end_free(sent, received).first.distance, 40U);
+
+    // 300000 symbols with every tenth deleted: the first band is rows
+    // j..j + 30000 of each column, about 2.5 GB of store. Both traceback
+    // entry points refuse before carving anything.
+    Trace block(300'000);
+    for (auto& s : block) s = static_cast<std::uint32_t>(rng.uniform_below(2));
+    Trace window;
+    for (std::size_t i = 0; i < block.size(); ++i)
+        if (i % 10 != 0) window.push_back(block[i]);
+    EXPECT_THROW((void)align_end_free(block, window), std::invalid_argument);
+    EXPECT_THROW((void)align(block, window), std::invalid_argument);
 }
 
 TEST(Alignment, IdenticalTracesAllMatch) {
